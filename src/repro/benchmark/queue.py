@@ -412,6 +412,14 @@ class WorkQueue:
         except FileExistsError:
             telemetry.count("queue.claim_lost")
             return None
+        if self.is_completed(task) or self.is_failed(task):
+            # A peer finished the task after the caller's completion check:
+            # it writes its record before unlinking its lease, so the lease
+            # scan found nothing and this create re-opened the attempt.
+            os.close(fd)
+            path.unlink(missing_ok=True)
+            telemetry.count("queue.claim_lost")
+            return None
         lease = Lease(self, task, path, attempt, stolen_from=stolen_from)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:

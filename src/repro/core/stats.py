@@ -391,36 +391,108 @@ class StatsScanCache:
 
     ``counts``/``parsed`` are views into capacity-doubled buffers, so the
     per-batch growth in :meth:`scan_novel` is amortized O(1) per value.
+
+    ``max_values`` bounds the resident values for long-lived callers (a
+    server, a streamed upload).  A value *hits* when a batch looks it up
+    after an earlier batch scanned it.  Once a batch leaves more than
+    ``max_values`` values interned, :meth:`end_batch` trims the cache to
+    the values that hit since the last trim (at most ``max_values``, oldest
+    first); their scan rows are copied, not rescanned.  Buffer growth is
+    clamped to the cap, so capacity stays within cap + one batch.  With a
+    ``metric_prefix``, each trim counts ``<prefix>.scan_cache_reset`` and
+    adds the values it keeps to ``<prefix>.scan_cache_kept``, and every
+    batch sets the ``<prefix>.scan_cache_values`` gauge.
     """
 
-    def __init__(self):
+    def __init__(
+        self, max_values: int | None = None, metric_prefix: str | None = None
+    ):
+        self.max_values = max_values
+        self.metric_prefix = metric_prefix
         self.values: list[str] = []
         self.value_index: dict[str, int] = _Interner(self.values)
         self._counts_buf = np.zeros((5, 0))
         self._parsed_buf = np.zeros(0)
+        self._hit_buf = np.zeros(0, dtype=bool)
         self.counts = self._counts_buf
         self.parsed = self._parsed_buf
         self.probe_cache: dict[str, tuple[bool, bool, bool, bool, bool]] = {}
+        # codes below this were scanned before the current batch's lookups
+        self._n_known = 0
+
+    @property
+    def capacity(self) -> int:
+        """Allocated scan-row slots (resident values fit without growth)."""
+        return self._counts_buf.shape[1]
 
     def scan_novel(self) -> None:
         """Scan any interned values that do not have measures yet."""
         n_scanned = self.counts.shape[1]
+        self._n_known = n_scanned
         total = len(self.values)
         if total == n_scanned:
             return
         counts, parsed = _scan_distinct(self.values[n_scanned:])
-        if total > self._counts_buf.shape[1]:
-            capacity = max(total, 2 * self._counts_buf.shape[1])
+        if total > self.capacity:
+            capacity = 2 * self.capacity
+            if self.max_values is not None:
+                capacity = min(capacity, self.max_values)
+            capacity = max(total, capacity)
             grown = np.zeros((5, capacity))
             grown[:, :n_scanned] = self._counts_buf[:, :n_scanned]
             self._counts_buf = grown
             grown_parsed = np.zeros(capacity)
             grown_parsed[:n_scanned] = self._parsed_buf[:n_scanned]
             self._parsed_buf = grown_parsed
+            if self.max_values is not None:
+                grown_hit = np.zeros(capacity, dtype=bool)
+                grown_hit[:n_scanned] = self._hit_buf[:n_scanned]
+                self._hit_buf = grown_hit
         self._counts_buf[:, n_scanned:total] = counts
         self._parsed_buf[n_scanned:total] = parsed
         self.counts = self._counts_buf[:, :total]
         self.parsed = self._parsed_buf[:total]
+
+    def mark_hits(self, codes: np.ndarray) -> None:
+        """Flag the looked-up ``codes`` that an earlier batch scanned."""
+        if self.max_values is not None:
+            self._hit_buf[codes[codes < self._n_known]] = True
+
+    def end_batch(self) -> None:
+        """Trim past ``max_values``; call once a batch is done with its codes
+        (a trim renumbers them)."""
+        if self.max_values is None:
+            return
+        if len(self.values) > self.max_values:
+            keep = np.flatnonzero(self._hit_buf[: len(self.values)])
+            self._trim(keep[: self.max_values])
+        if self.metric_prefix is not None:
+            telemetry.gauge(
+                f"{self.metric_prefix}.scan_cache_values", len(self.values)
+            )
+
+    def _trim(self, keep: np.ndarray) -> None:
+        kept = len(keep)
+        values = [self.values[i] for i in keep.tolist()]
+        index = _Interner(values)
+        index.update(zip(values, range(kept)))
+        self.values = values
+        self.value_index = index
+        # fancy indexing copies the kept rows first, so compaction in place
+        # is safe; the buffers keep their (clamped) capacity
+        self._counts_buf[:, :kept] = self._counts_buf[:, keep]
+        self._parsed_buf[:kept] = self._parsed_buf[keep]
+        self._hit_buf[:] = False
+        self.counts = self._counts_buf[:, :kept]
+        self.parsed = self._parsed_buf[:kept]
+        self.probe_cache = {
+            value: probes
+            for value, probes in self.probe_cache.items()
+            if value in index
+        }
+        if self.metric_prefix is not None:
+            telemetry.count(f"{self.metric_prefix}.scan_cache_reset")
+            telemetry.count(f"{self.metric_prefix}.scan_cache_kept", kept)
 
 
 def compute_stats_batch(
@@ -486,6 +558,7 @@ def compute_stats_batch(
     stds = np.zeros((5, n_cols))
     if nonempty.size:
         code_arr = np.asarray(codes_flat, dtype=np.intp)
+        cache.mark_hits(code_arr)
         gathered = counts[:, code_arr]
         seg = starts[nonempty]
         sums = np.add.reduceat(gathered, seg, axis=1)
@@ -533,6 +606,7 @@ def compute_stats_batch(
             samples = _first_distinct(codes, values, 5)
         row[20:25] = _probe_samples(samples, probe_cache)
         out.append(DescriptiveStats(row))
+    cache.end_batch()
     return out
 
 

@@ -71,8 +71,14 @@ class Telemetry:
     def enabled(self) -> bool:
         return self._enabled
 
-    def enable(self, log_level: str | None = None) -> "Telemetry":
+    def enable(
+        self, log_level: str | None = None, keep_spans: bool = True
+    ) -> "Telemetry":
+        """Turn instrumentation on.  ``keep_spans=False`` still times spans
+        and propagates their trace ids but retains no records — for
+        long-lived processes that will never export them."""
         self._enabled = True
+        self.tracer.keep_records = keep_spans
         if log_level is not None:
             self.logger.set_level(log_level)
         return self

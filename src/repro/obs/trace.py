@@ -151,6 +151,11 @@ class Tracer:
     whenever the ring-buffer cap rejects a span — the facade wires it to a
     ``trace.dropped`` counter so truncated traces are *visible* instead of
     silently shorter.
+
+    With ``keep_records`` off, spans still time their region and carry
+    trace/span ids (so propagation and echoed trace ids are unchanged), but
+    no record is retained — and none counts as dropped, since none was
+    meant to be kept.
     """
 
     def __init__(
@@ -159,6 +164,7 @@ class Tracer:
         on_drop: Callable[[int], None] | None = None,
     ):
         self.max_records = max_records
+        self.keep_records = True
         self.records: list[SpanRecord] = []
         self.dropped = 0
         self.on_drop = on_drop
@@ -175,6 +181,8 @@ class Tracer:
         return Span(self, name, attrs)
 
     def _record(self, span: Span) -> None:
+        if not self.keep_records:
+            return
         with self._lock:
             if len(self.records) >= self.max_records:
                 self.dropped += 1
@@ -211,7 +219,9 @@ class Tracer:
         """Append a span that was *measured elsewhere* (e.g. queue wait
         reconstructed from a request's enqueue/start timestamps, where no
         code ran inside the interval).  Returns the record, or None if the
-        cap dropped it."""
+        cap dropped it (or records are not kept)."""
+        if not self.keep_records:
+            return None
         record = SpanRecord(
             name=name,
             started_at=started_at,
@@ -239,6 +249,8 @@ class Tracer:
     def ingest(self, records: list[SpanRecord]) -> int:
         """Adopt records produced elsewhere (a worker process's piped-back
         spans), honoring the cap.  Returns the number actually kept."""
+        if not self.keep_records:
+            return 0
         kept = 0
         dropped = 0
         with self._lock:

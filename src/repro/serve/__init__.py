@@ -12,39 +12,41 @@ all over stdlib HTTP (``POST /v1/infer``, ``POST /v1/models/<name>/infer``,
 sharing one artifact cache.  See ``docs/serving.md``.
 """
 
-from repro.serve.balance import FleetClient, NoBackendError
-from repro.serve.batching import (
-    DeadlineExceededError,
-    InferenceRequest,
-    MicroBatcher,
-    QueueFullError,
-    ServiceClosedError,
-)
-from repro.serve.client import RetryPolicy, ServeClient, ServeClientError
-from repro.serve.registry import (
-    ModelRegistry,
-    SwapHandle,
-    SwapInProgressError,
-    TrainConfig,
-    UnknownModelError,
-)
-from repro.serve.service import InferenceService
+import importlib
 
-__all__ = [
-    "DeadlineExceededError",
-    "FleetClient",
-    "InferenceRequest",
-    "InferenceService",
-    "MicroBatcher",
-    "ModelRegistry",
-    "NoBackendError",
-    "QueueFullError",
-    "RetryPolicy",
-    "ServeClient",
-    "ServeClientError",
-    "ServiceClosedError",
-    "SwapHandle",
-    "SwapInProgressError",
-    "TrainConfig",
-    "UnknownModelError",
-]
+#: Public name -> defining submodule.  Resolved on first attribute access,
+#: so a client-only process (``from repro.serve.client import
+#: ServeClient``) never imports the service stack, numpy or the models.
+_EXPORTS = {
+    "FleetClient": "repro.serve.balance",
+    "NoBackendError": "repro.serve.balance",
+    "DeadlineExceededError": "repro.serve.batching",
+    "InferenceRequest": "repro.serve.batching",
+    "MicroBatcher": "repro.serve.batching",
+    "QueueFullError": "repro.serve.batching",
+    "ServiceClosedError": "repro.serve.batching",
+    "RetryPolicy": "repro.serve.client",
+    "ServeClient": "repro.serve.client",
+    "ServeClientError": "repro.serve.client",
+    "ModelRegistry": "repro.serve.registry",
+    "SwapHandle": "repro.serve.registry",
+    "SwapInProgressError": "repro.serve.registry",
+    "TrainConfig": "repro.serve.registry",
+    "UnknownModelError": "repro.serve.registry",
+    "InferenceService": "repro.serve.service",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

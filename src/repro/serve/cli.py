@@ -30,7 +30,7 @@ from repro.obs import (
 from repro.obs.export import write_json, write_spans_jsonl
 from repro.serve.http import make_server
 from repro.serve.registry import ModelRegistry, TrainConfig
-from repro.serve.service import InferenceService
+from repro.serve.service import SCAN_CACHE_MAX_VALUES, InferenceService
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,11 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request deadline (clients override per call)",
     )
     batching.add_argument(
-        "--scan-cache-max-values", type=int, default=200_000, metavar="N",
-        help="distinct cell values retained in the cross-request stats scan "
-             "cache (and per streamed upload) before it is recycled; lower "
-             "bounds resident memory tighter at the cost of re-scanning "
-             "repeated values",
+        "--scan-cache-max-values", type=int, default=SCAN_CACHE_MAX_VALUES,
+        metavar="N",
+        help="maximum distinct cell values resident in the cross-request "
+             "stats scan cache (and per streamed upload); past it the cache "
+             "keeps only the values that were looked up again since its "
+             "last trim. Lower bounds resident memory tighter at the cost "
+             "of re-scanning repeated values",
     )
     add_fault_flags(parser)
     add_observability_flags(parser)
@@ -110,12 +112,21 @@ def _parse_model_specs(specs: list[str] | None) -> list[tuple[str, str]]:
     return out
 
 
+def enable_telemetry(args) -> None:
+    """A server's /metrics endpoint is only useful with telemetry on, so
+    unlike the batch CLIs, repro-serve always enables it.  Span records
+    are kept only when ``--trace-out`` or ``--manifest`` will export them:
+    otherwise every request would grow the tracer's buffer for nothing."""
+    telemetry.enable(
+        log_level=args.log_level or "info",
+        keep_spans=bool(args.trace_out or args.manifest),
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
-    # A server's /metrics endpoint is only useful with telemetry on, so
-    # unlike the batch CLIs, repro-serve always enables it.
-    telemetry.enable(log_level=args.log_level or "info")
+    enable_telemetry(args)
     configure_faults(args)
 
     specs = _parse_model_specs(args.models)
@@ -212,7 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         # idle keep-alive connections, then join handler threads so every
         # accepted request gets its response.
         service.drain()
-        server.shutdown_idle()
         server.server_close()
         if args.metrics_out:
             write_json(args.metrics_out, telemetry.metrics.snapshot())

@@ -249,6 +249,9 @@ class ServeClient:
                 (self._host, self._port), timeout=self.timeout_s
             )
             try:
+                # Like http.client: never let Nagle hold a request behind
+                # the server's delayed ACK of the previous one.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 reader = sock.makefile("rb")
                 sent = received = 0
                 while received < len(wire):

@@ -147,6 +147,10 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: a keep-alive client delays its
+    # ACK (~40 ms on Linux), and Nagle would hold any write queued behind
+    # an unacknowledged one until that ACK arrives.
+    disable_nagle_algorithm = True
     # Idle keep-alive connections time out so a drain can always finish
     # joining handler threads.
     timeout = 30
@@ -590,9 +594,13 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
-        self.end_headers()
+        # Status line, headers and body leave as one sendall: end_headers()
+        # would flush the headers as a write of their own.
+        self._headers_buffer.append(b"\r\n")
+        response = b"".join(self._headers_buffer) + body
+        self._headers_buffer = []
         try:
-            self.wfile.write(body)
+            self.wfile.write(response)
         except BrokenPipeError:  # client gave up (e.g. its own timeout)
             telemetry.count("serve.client_gone")
 
@@ -607,8 +615,8 @@ class ServeHTTPServer(ThreadingHTTPServer):
     Handler threads are non-daemon and joined on close so a drain never
     cuts off an in-flight response mid-write.  Keep-alive makes each
     connection long-lived, so the server tracks every accepted socket:
-    :meth:`shutdown_idle` half-closes them (read side only) after the
-    service drain, turning each handler's next ``readline`` into EOF —
+    :meth:`server_close` half-closes them (read side only) before joining
+    the handlers, turning each handler's next ``readline`` into EOF —
     idle persistent connections end immediately instead of holding the
     join for their 30 s keep-alive timeout, while in-flight responses
     still write out in full.
@@ -635,8 +643,8 @@ class ServeHTTPServer(ThreadingHTTPServer):
             self._connections.discard(request)
         super().shutdown_request(request)
 
-    def shutdown_idle(self) -> None:
-        """Half-close every open connection so keep-alive handlers exit."""
+    def server_close(self) -> None:
+        """Half-close every open connection, then join the handlers."""
         with self._conn_lock:
             connections = list(self._connections)
         for sock in connections:
@@ -644,6 +652,7 @@ class ServeHTTPServer(ThreadingHTTPServer):
                 sock.shutdown(socket.SHUT_RD)
             except OSError:
                 pass  # already closing
+        super().server_close()
 
 
 def make_server(

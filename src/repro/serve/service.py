@@ -30,11 +30,12 @@ from repro.tabular.column import Column
 from repro.tabular.table import Table
 from repro.tools.rules import RuleBaselineTool
 
-#: Default distinct cell values retained in the cross-request scan cache
-#: before it is dropped and restarted — bounds resident memory on
-#: long-lived servers.  Tunable per service via ``scan_cache_max_values``
-#: (``repro-serve --scan-cache-max-values``).
-SCAN_CACHE_MAX_VALUES = 200_000
+#: Default maximum distinct cell values resident in the cross-request scan
+#: cache — bounds resident memory on long-lived servers.  Past it the cache
+#: keeps only the values that hit since its last trim (see
+#: :class:`~repro.core.stats.StatsScanCache`).  Tunable per service via
+#: ``scan_cache_max_values`` (``repro-serve --scan-cache-max-values``).
+SCAN_CACHE_MAX_VALUES = 100_000
 
 #: Confidence reported for degraded (rule-based) predictions: exactly the
 #: paper's review threshold, so they are not silently trusted as
@@ -64,7 +65,9 @@ class InferenceService:
             queue_limit=queue_limit,
         )
         self._fallback = RuleBaselineTool()
-        self._scan_cache = StatsScanCache()
+        self._scan_cache = StatsScanCache(
+            max_values=self.scan_cache_max_values, metric_prefix="serve"
+        )
         self.started_at = time.time()
         self.draining = False
 
@@ -237,9 +240,6 @@ class InferenceService:
         """
         if not batch:
             return {}
-        if len(self._scan_cache.values) > self.scan_cache_max_values:
-            telemetry.count("serve.scan_cache_reset")
-            self._scan_cache = StatsScanCache()
         # Table requests share one profile_columns scan; streamed requests
         # arrive pre-profiled and just slot into the prediction.
         table_requests = [r for r in batch if r.table is not None]

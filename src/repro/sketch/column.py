@@ -138,8 +138,8 @@ class ColumnSketch:
         feeding ``Column.cells`` produce identical sketches.
 
         ``scan_cache`` should be shared across chunks/columns so repeated
-        values are scanned once (the caller bounds and recycles it);
-        without one, a throwaway cache serves the single chunk.
+        values are scanned once (its ``max_values`` bounds it); without
+        one, a throwaway cache serves the single chunk.
 
         ``cell_offset`` is the global index of ``cells[0]`` within the full
         column; it defaults to sequential growth (``self.n_total``).  Shard
@@ -183,6 +183,7 @@ class ColumnSketch:
         cache.scan_novel()
         code_arr = np.asarray(codes, dtype=np.intp)
         uniq, freq = np.unique(code_arr, return_counts=True)
+        cache.mark_hits(uniq)
         weights = freq.astype(float)
         # Frequency-weighted segment sums: every term is an exact integer
         # in float64 (counts are small ints, chunk totals << 2**53), so
@@ -205,6 +206,7 @@ class ColumnSketch:
             )
         if telemetry.enabled:
             telemetry.count("sketch.cells", len(cells))
+        cache.end_batch()
 
     def _spill_distinct(self) -> None:
         """Stop tracking distinct values; report exactly the cap from now on.

@@ -5,7 +5,7 @@ objects (from :func:`~repro.tabular.csv_io.iter_csv_chunks`) and produces
 the same ``list[ColumnProfile]`` that ``profile_table`` computes from a
 materialized :class:`~repro.tabular.table.Table` — under a memory
 footprint bounded by the chunk size, the distinct cap, and the scan-cache
-recycle threshold, independent of the number of rows.
+cap, independent of the number of rows.
 
 :func:`profile_csv_stream` is the one-call convenience wrapper used by
 ``repro-infer --stream``.
@@ -25,9 +25,9 @@ from repro.tabular.csv_io import CSVChunk, iter_csv_chunks
 #: scan, small enough that a chunk of wide text rows stays a few MB.
 DEFAULT_CHUNK_ROWS = 16_384
 
-#: Distinct cell values retained in the shared scan cache before it is
-#: dropped and restarted (the ``repro.serve`` recycle idiom) — bounds the
-#: interning table on high-cardinality streams.
+#: Maximum distinct cell values resident in the shared scan cache (see
+#: :class:`~repro.core.stats.StatsScanCache` for the trim policy) — bounds
+#: the interning table on high-cardinality streams.
 DEFAULT_SCAN_CACHE_MAX_VALUES = 200_000
 
 
@@ -35,7 +35,7 @@ class StreamingProfiler:
     """Accumulate column sketches chunk by chunk; finalize to profiles.
 
     The profiler owns the shared :class:`~repro.core.stats.StatsScanCache`
-    (recycled past ``scan_cache_max_values`` interned values) and the
+    (trimmed past ``scan_cache_max_values`` interned values) and the
     global row counter that keeps "head" sample order exact across chunks.
     ``row_offset`` seeds that counter for shard profilers whose
     :meth:`merge` results must behave as if one profiler saw every row.
@@ -50,8 +50,9 @@ class StreamingProfiler:
     ):
         self.source_file = source_file
         self.config = config if config is not None else SketchConfig()
-        self.scan_cache_max_values = scan_cache_max_values
-        self._cache = StatsScanCache()
+        self._cache = StatsScanCache(
+            max_values=scan_cache_max_values, metric_prefix="sketch"
+        )
         self._sketches: list[ColumnSketch] | None = None
         self._names: list[str] | None = None
         self._rows_seen = 0
@@ -103,9 +104,6 @@ class StreamingProfiler:
         self._n_chunks += 1
         telemetry.count("sketch.chunks")
         telemetry.count("sketch.rows", len(rows))
-        if len(self._cache.values) > self.scan_cache_max_values:
-            telemetry.count("sketch.scan_cache_reset")
-            self._cache = StatsScanCache()
 
     def merge(self, other: "StreamingProfiler") -> "StreamingProfiler":
         """Fold a shard profiler (disjoint row ranges, same header) in."""

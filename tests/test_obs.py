@@ -62,6 +62,25 @@ def test_tracer_caps_records():
     assert tracer.dropped == 2
 
 
+def test_telemetry_without_kept_spans_still_propagates_trace_ids():
+    local = Telemetry().enable(keep_spans=False)
+    with local.span("outer") as outer:
+        with local.span("inner") as inner:
+            pass
+    local.record_span("wait", started_at=0.0, wall_s=0.1,
+                      trace_id=outer.trace_id)
+    assert outer.trace_id and inner.trace_id == outer.trace_id
+    assert inner.parent_span_id == outer.span_id
+    assert local.spans == []
+    # Spans never meant to be kept are not "dropped".
+    assert local.tracer.dropped == 0
+    assert "trace.dropped" not in local.metrics.snapshot()["counters"]
+    local.enable()  # the default keeps records again
+    with local.span("kept"):
+        pass
+    assert [record.name for record in local.spans] == ["kept"]
+
+
 def test_aggregate_spans_totals():
     tracer = Tracer()
     for _ in range(4):

@@ -186,6 +186,49 @@ class TestVectorizedStatsParity:
         for a, b in zip(whole, chunked):
             assert (a.values == b.values).all()
 
+    def test_capped_scan_cache_trims_but_changes_nothing(self):
+        corpus = generate_corpus(n_examples=100, seed=5)
+        roomy, capped = StatsScanCache(), StatsScanCache(max_values=300)
+        batch_values = []
+        for table in corpus.files:
+            columns = list(table)
+            want = compute_stats_batch(columns, scan_cache=roomy)
+            got = compute_stats_batch(columns, scan_cache=capped)
+            for a, b in zip(want, got):
+                assert (a.values == b.values).all()
+            batch_values.append(
+                len({c for col in columns for c in col.cells if c is not None})
+            )
+            # Capacity is clamped: cap + the largest batch at most.
+            assert capped.capacity <= 300 + max(batch_values)
+            assert len(capped.values) <= 300
+        assert len(roomy.values) > 300  # the cap really was exceeded
+
+    def test_trim_keeps_exactly_the_values_that_hit(self):
+        cache = StatsScanCache(max_values=4)
+
+        def run(*cells):
+            return compute_stats_batch(
+                [Column("c", list(cells))], scan_cache=cache
+            )
+
+        run("a", "b", "c")
+        run("a", "1 x")  # "a" hits; 4 values, still within the cap
+        assert cache.values == ["a", "b", "c", "1 x"]
+        rows = {
+            value: cache.counts[:, i].copy()
+            for i, value in enumerate(cache.values)
+        }
+        run("c", "d")  # "c" hits; 5 values > 4: keep the hits "a", "c"
+        assert cache.values == ["a", "c"]
+        assert dict(cache.value_index) == {"a": 0, "c": 1}
+        for i, value in enumerate(cache.values):
+            np.testing.assert_array_equal(cache.counts[:, i], rows[value])
+        assert set(cache.probe_cache) <= {"a", "c"}
+        # Hits reset at each trim: only "c" hits before the next overflow.
+        run("c", "e", "f", "g")
+        assert cache.values == ["c"]
+
 
 class TestArtifactCacheParity:
     def test_cached_context_equals_cold(self, tmp_path):

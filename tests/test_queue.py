@@ -212,6 +212,27 @@ class TestClaims:
         assert queue.try_claim(bad) is None
         assert queue.failures()[0]["error"] == "ValueError: boom"
 
+    def test_claim_backs_out_when_peer_completes_mid_claim(
+        self, tmp_path, monkeypatch
+    ):
+        # The peer writes its record and unlinks its lease between this
+        # claimer's completion check and its lease scan, so the scan finds
+        # no lease and attempt 0 is created again: the claim must back out.
+        queue = WorkQueue(tmp_path / "run", owner="me")
+        task = QueueTask("expA", "expA", None)
+        scan = queue._top_attempt
+
+        def peer_finishes_then_scan(t):
+            queue.checkpoint.record(
+                {"name": "expA", "output": "x", "wall_s": 0.0}
+            )
+            return scan(t)
+
+        monkeypatch.setattr(queue, "_top_attempt", peer_finishes_then_scan)
+        assert queue.try_claim(task) is None
+        assert queue._task_leases(task) == []
+        assert counter("queue.claim_lost") == 1
+
     def test_task_stems_with_separators_do_not_collide(self):
         assert task_stem("exp::a/b") != task_stem("exp::a_b")
 

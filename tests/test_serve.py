@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -26,7 +27,7 @@ from repro.core.pipeline import TypeInferencePipeline
 from repro.obs import telemetry
 from repro.serve import InferenceService, ModelRegistry, ServeClientError
 from repro.serve.client import ServeClient
-from repro.serve.http import make_server
+from repro.serve.http import ServeHTTPServer, make_server
 
 CSV_TEXT = "id,salary,state\n" + "\n".join(
     f"{i},{1000 + 13 * i},{['CA', 'TX', 'NY', 'WA'][i % 4]}"
@@ -77,7 +78,6 @@ def running_server(registry, start_batcher=True, **service_knobs):
         client.close()  # keep-alive sockets would stall the handler join
         server.shutdown()
         service.drain(timeout=5)
-        server.shutdown_idle()
         server.server_close()
         thread.join(timeout=5)
 
@@ -374,6 +374,144 @@ class TestPrometheusEndpoint:
         assert windows["serve.request_ms_window"]["p99"] > 0
 
 
+class _CountingSocket:
+    """An accepted socket that counts the writes sent through it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.writes = 0
+
+    def sendall(self, data, *args):
+        self.writes += 1
+        return self._sock.sendall(data, *args)
+
+    def send(self, data, *args):
+        self.writes += 1
+        return self._sock.send(data, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _CountingServer(ServeHTTPServer):
+    """Hands every handler a :class:`_CountingSocket` around its socket."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.accepted: list[_CountingSocket] = []
+
+    def finish_request(self, request, client_address):
+        counted = _CountingSocket(request)
+        self.accepted.append(counted)
+        super().finish_request(counted, client_address)
+
+
+class TestTransport:
+    """A keep-alive response must never wait for the client's delayed ACK:
+    NODELAY on the accepted socket, and one write per response."""
+
+    @contextmanager
+    def counting_server(self, registry):
+        service = InferenceService(registry, max_wait_s=0.0)
+        server = _CountingServer(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        service.start()
+        client = ServeClient(f"http://127.0.0.1:{server.server_port}")
+        try:
+            yield client, server
+        finally:
+            client.close()
+            server.shutdown()
+            service.drain(timeout=5)
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_accepted_socket_has_nodelay(self, served_model):
+        registry = ModelRegistry.preloaded(served_model)
+        with self.counting_server(registry) as (client, server):
+            client.healthz()
+            (accepted,) = server.accepted
+            nodelay = accepted.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+        assert nodelay != 0
+
+    def test_each_response_is_one_socket_write(self, served_model):
+        registry = ModelRegistry.preloaded(served_model)
+        with self.counting_server(registry) as (client, server):
+            ok = client.infer_csv_text(CSV_TEXT, table="sample")
+            with pytest.raises(ServeClientError) as exc_info:
+                client.infer_csv_text(CSV_TEXT, model="no-such-model")
+            client.metrics_text()
+            writes = sum(sock.writes for sock in server.accepted)
+        assert ok["predictions"]
+        assert exc_info.value.status == 404
+        assert writes == 3  # a 200 JSON, a 404 JSON, a 200 text
+
+
+class TestClientFootprint:
+    def test_client_import_leaves_service_stack_unloaded(self):
+        # A load generator or CLI client imports only the client; the
+        # service stack (numpy, models) stays out of its memory.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        probe = (
+            "import sys; from repro.serve.client import ServeClient; "
+            "print(sorted(m for m in ('numpy', 'repro.serve.service', "
+            "'repro.core.models') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+
+class TestSpanRetention:
+    """``repro-serve`` always enables telemetry, but keeps span records
+    only when ``--trace-out``/``--manifest`` will export them."""
+
+    def _serve(self, served_model, argv, n_requests):
+        from repro.serve.cli import build_parser, enable_telemetry
+
+        enable_telemetry(
+            build_parser().parse_args(["--log-level", "warning", *argv])
+        )
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            trace_ids = [
+                client.infer_csv_text(CSV_TEXT)["trace_id"]
+                for _ in range(n_requests)
+            ]
+            text = client.metrics_text()
+        return trace_ids, text
+
+    def test_spans_not_kept_without_trace_out(self, served_model):
+        from repro.obs import parse_prometheus_text
+
+        trace_ids, text = self._serve(served_model, [], n_requests=5)
+        assert telemetry.spans == []
+        assert telemetry.tracer.dropped == 0
+        families = parse_prometheus_text(text)
+        assert families["repro_serve_request_total"]["samples"][
+            "repro_serve_request_total"
+        ] == 5.0
+        assert "repro_trace_dropped_total" not in families
+        # Trace propagation is untouched: every response echoes its trace.
+        assert len(set(trace_ids)) == 5 and all(trace_ids)
+
+    def test_spans_kept_with_trace_out(self, served_model, tmp_path):
+        trace_ids, _ = self._serve(
+            served_model, ["--trace-out", str(tmp_path / "t.jsonl")],
+            n_requests=2,
+        )
+        served = [s for s in telemetry.spans if s.name == "serve.request"]
+        assert sorted(s.trace_id for s in served) == sorted(trace_ids)
+
+
 @pytest.mark.slow
 class TestCrossProcessTrace:
     """The acceptance scenario: repro-infer --server against a live
@@ -639,7 +777,9 @@ class TestScanCacheKnob:
 
         args = build_parser().parse_args(["--scan-cache-max-values", "123"])
         assert args.scan_cache_max_values == 123
-        assert build_parser().parse_args([]).scan_cache_max_values == 200_000
+        # Keeping hit values at 100k resident values hits more often than
+        # dropping everything at 200k (docs/performance.md).
+        assert build_parser().parse_args([]).scan_cache_max_values == 100_000
 
     def test_health_reports_threshold(self, served_model):
         registry = ModelRegistry.preloaded(served_model)
@@ -665,3 +805,30 @@ class TestScanCacheKnob:
             resets = telemetry.metrics.counter("sketch.scan_cache_reset").value
         assert resets >= 1
         assert tight["predictions"] == reference["predictions"]
+
+        # Buffered requests across trims.  A (CSV_TEXT) and B share only
+        # their four state values.  With a 100-value cap, every B request
+        # overflows the cache (84 + 80 values), and the trim keeps exactly
+        # A's 84 values, which hit since the last trim; the answers never
+        # change.
+        other = "id,salary,state\n" + "\n".join(
+            f"{i},{1000 + 13 * i},{['CA', 'TX', 'NY', 'WA'][i % 4]}"
+            for i in range(40, 80)
+        )
+        stream = [CSV_TEXT, CSV_TEXT, other, CSV_TEXT, other]
+        telemetry.reset()
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            roomy = [client.infer_csv_text(text) for text in stream]
+        telemetry.reset()
+        with running_server(
+            registry, max_wait_s=0.0, scan_cache_max_values=100
+        ) as (client, _):
+            trimmed = [client.infer_csv_text(text) for text in stream]
+            snapshot = client.metrics()
+        for got, want in zip(trimmed, roomy):
+            assert json.dumps(got["predictions"]) == json.dumps(
+                want["predictions"]
+            )
+        assert snapshot["counters"]["serve.scan_cache_reset"] == 2
+        assert snapshot["counters"]["serve.scan_cache_kept"] == 2 * 84
+        assert snapshot["gauges"]["serve.scan_cache_values"] == 84

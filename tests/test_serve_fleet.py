@@ -115,7 +115,6 @@ def running_server(registry, **service_knobs):
         client.close()
         server.shutdown()
         service.drain(timeout=5)
-        server.shutdown_idle()
         server.server_close()
         thread.join(timeout=5)
 
@@ -140,7 +139,6 @@ class _FleetBackend:
         self.stopped = True
         self.server.shutdown()
         self.service.drain(timeout=timeout)
-        self.server.shutdown_idle()
         self.server.server_close()
         self.thread.join(timeout=timeout)
 
