@@ -7,16 +7,19 @@ then runs ``repro-infer --stream`` on it inside a child process that
 asserts its *own* peak RSS (``resource.getrusage(RUSAGE_SELF).ru_maxrss``)
 stayed under ``--ceiling-mb``.  A buffered (in-memory) reference run over
 the same file checks that the streamed predictions are byte-identical and
-that streaming costs at most ``--max-slowdown``× the buffered wall time.
+that streaming costs at most ``--max-slowdown``× the buffered wall time;
+with ``--buffered-ceiling-mb`` that child asserts a peak-RSS ceiling too,
+so a transient that grows with the file's characters fails the run.
 
 Every generated column keeps its distinct-value count under the sketch's
 distinct cap, so the streamed statistics are exactly the batch kernel's
 (up to the documented ulp-level mean/std delta) and the prediction
 comparison is strict.
 
-CI runs this at ~1M rows (``--rows 1000000 --ceiling-mb 512``); the
-committed ``BENCH_pr8.json`` comes from a larger local run whose file is
->= 10x the 320 MB ceiling::
+CI runs this at ~1M rows (``--rows 1000000 --ceiling-mb 512
+--buffered-ceiling-mb 1024``; ``.github/workflows/ci.yml`` explains the
+buffered value); the committed ``BENCH_pr8.json`` comes from a larger
+local run whose file is >= 10x the 320 MB ceiling::
 
     python scripts/stream_smoke.py --rows 15000000 --ceiling-mb 320 \
         --out BENCH_pr8.json
@@ -130,6 +133,11 @@ def main(argv: list[str] | None = None) -> int:
         help="peak-RSS ceiling enforced on the streamed run (default 512)",
     )
     parser.add_argument(
+        "--buffered-ceiling-mb", type=int, default=0,
+        help="peak-RSS ceiling enforced on the buffered reference run "
+             "(default 0: recorded, not enforced)",
+    )
+    parser.add_argument(
         "--max-slowdown", type=float, default=1.5,
         help="streamed wall time must stay within this factor of the "
              "buffered run (default 1.5)",
@@ -200,9 +208,14 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     if not args.skip_buffered:
-        print("=== buffered (in-memory) reference run ===", flush=True)
+        print(
+            "=== buffered (in-memory) reference run (ceiling "
+            f"{args.buffered_ceiling_mb or 'none'} MB) ===",
+            flush=True,
+        )
         buffered, buffer_s, buffer_peak_kb = run_infer(
-            base, ceiling_kb=0, label="buffered"
+            base, ceiling_kb=args.buffered_ceiling_mb * 1024,
+            label="buffered",
         )
         if streamed.stdout != buffered.stdout:
             raise SystemExit(
@@ -212,6 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         report["stream_smoke"]["buffered"] = {
             "wall_s": round(buffer_s, 3),
             "peak_rss_kb": buffer_peak_kb,
+            "ceiling_mb": args.buffered_ceiling_mb,
         }
         report["stream_smoke"]["throughput_ratio"] = round(ratio, 3)
         print(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,23 +231,55 @@ def _scan_value(text: str) -> tuple[float, float, float, float, float, float]:
     )
 
 
-def _scan_distinct(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized scan of the distinct values producing all measures at once.
+#: Characters per slice of :func:`_scan_distinct`.  The kernel allocates
+#: about 56 bytes of int/bool arrays per character, so a slice's transient
+#: stays near 15 MB however many characters the distinct values hold.
+SCAN_SLICE_CHARS = 1 << 18
 
-    Returns ``(counts, parsed)`` where ``counts`` is a (5, n_distinct) float
-    matrix of word/stopword/char/whitespace/delimiter counts and ``parsed``
-    holds ``try_parse_float`` results (NaN where the value is not numeric).
+
+def _scan_distinct(
+    values: list[str], counts: np.ndarray, parsed: np.ndarray
+) -> None:
+    """Scan the distinct ``values`` into ``counts`` and ``parsed``.
+
+    ``counts`` is a (5, len(values)) view that receives the word/stopword/
+    char/whitespace/delimiter counts, ``parsed`` a (len(values),) view that
+    receives the ``try_parse_float`` results (NaN where the value is not
+    numeric).  The values are scanned in consecutive slices of at most
+    :data:`SCAN_SLICE_CHARS` characters (a longer value gets a slice of its
+    own) and each slice writes straight into its columns of the outputs.
+    Every measure is per value, so the slicing never changes a result.
+    """
+    d = len(values)
+    lengths = np.fromiter(map(len, values), count=d, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    start = 0
+    while start < d:
+        base = ends[start - 1] if start else 0
+        stop = np.searchsorted(ends, base + SCAN_SLICE_CHARS, side="right")
+        stop = max(int(stop), start + 1)
+        _scan_slice(
+            values[start:stop], lengths[start:stop],
+            counts[:, start:stop], parsed[start:stop],
+        )
+        start = stop
+
+
+def _scan_slice(
+    values: list[str], lengths: np.ndarray,
+    counts: np.ndarray, parsed: np.ndarray,
+) -> None:
+    """Vectorized scan of one slice, producing all measures at once.
 
     All character classification runs as LUT lookups over one flat codepoint
-    array covering every distinct value; per-value totals are recovered with
-    segment sums (prefix-sum differences).  Python falls back per value only
-    where it must: stop-word membership for values containing letters, the
-    numeric parse for values that pass the numeric-charset prefilter, and
-    codepoints beyond the LUT range.
+    array covering every value of the slice; per-value totals are recovered
+    with segment sums (prefix-sum differences).  Python falls back per value
+    only where it must: stop-word membership for values containing letters,
+    the numeric parse for values that pass the numeric-charset prefilter,
+    and codepoints beyond the LUT range.
     """
     d = len(values)
     luts = _char_luts()
-    lengths = np.fromiter(map(len, values), count=d, dtype=np.intp)
     ends = np.cumsum(lengths)
     starts = ends - lengths
     flat = "".join(values)
@@ -271,10 +304,10 @@ def _scan_distinct(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
     if total_chars:
         prev_ws[0] = True
         prev_ws[1:] = ws_mask[:-1]
-        prev_ws[starts] = True
+        # an empty value ending the slice starts past its last char
+        prev_ws[starts[lengths > 0]] = True
     word_start &= prev_ws
 
-    counts = np.empty((5, d), dtype=float)
     counts[2] = lengths
     counts[3] = segment_sum(ws_mask)
     counts[4] = segment_sum(luts["delim"][idx])
@@ -282,7 +315,7 @@ def _scan_distinct(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
     # numeric parse candidates: >=1 digit, every char in the numeric charset.
     # Within that charset ``float()`` accepts exactly what the literal regex
     # in ``try_parse_float`` does, so the regex is skipped.
-    parsed = np.full(d, np.nan)
+    parsed[:] = np.nan
     candidate = (segment_sum(luts["digit"][idx]) > 0) & (
         segment_sum(luts["numeric_ok"][idx]) == lengths
     )
@@ -330,7 +363,6 @@ def _scan_distinct(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
             scan = _scan_value(values[i])
             counts[:, i] = scan[:5]
             parsed[i] = scan[5]
-    return counts, parsed
 
 
 def _probe_samples(
@@ -390,7 +422,8 @@ class StatsScanCache:
     instance through successive :func:`compute_stats_batch` calls.
 
     ``counts``/``parsed`` are views into capacity-doubled buffers, so the
-    per-batch growth in :meth:`scan_novel` is amortized O(1) per value.
+    per-batch growth in :meth:`scan_novel` is amortized O(1) per value, and
+    the scan kernel writes its slices straight into them.
 
     ``max_values`` bounds the resident values for long-lived callers (a
     server, a streamed upload).  A value *hits* when a batch looks it up
@@ -432,7 +465,6 @@ class StatsScanCache:
         total = len(self.values)
         if total == n_scanned:
             return
-        counts, parsed = _scan_distinct(self.values[n_scanned:])
         if total > self.capacity:
             capacity = 2 * self.capacity
             if self.max_values is not None:
@@ -448,8 +480,13 @@ class StatsScanCache:
                 grown_hit = np.zeros(capacity, dtype=bool)
                 grown_hit[:n_scanned] = self._hit_buf[:n_scanned]
                 self._hit_buf = grown_hit
-        self._counts_buf[:, n_scanned:total] = counts
-        self._parsed_buf[n_scanned:total] = parsed
+        # the views advance only once every slice is in, so a failed scan
+        # leaves the novel values unscanned (the next call retries them)
+        _scan_distinct(
+            self.values[n_scanned:],
+            self._counts_buf[:, n_scanned:total],
+            self._parsed_buf[n_scanned:total],
+        )
         self.counts = self._counts_buf[:, :total]
         self.parsed = self._parsed_buf[:total]
 
@@ -495,6 +532,55 @@ class StatsScanCache:
             telemetry.count(f"{self.metric_prefix}.scan_cache_kept", kept)
 
 
+class ColumnTally(NamedTuple):
+    """Frequency-weighted summary of a batch of encoded columns.
+
+    One entry per distinct (column, value) pair in ``column``/``code``/
+    ``freq``, plus the exact per-column sums and sums of squares of the
+    five shape counts, each of shape (5, n_columns).
+    """
+
+    column: np.ndarray
+    code: np.ndarray
+    freq: np.ndarray
+    sums: np.ndarray
+    sumsq: np.ndarray
+
+
+def tally_columns(
+    codes: np.ndarray, n_present: np.ndarray, counts: np.ndarray
+) -> ColumnTally:
+    """Tally the value codes of a batch of columns against their scan rows.
+
+    ``codes`` holds the code of every present cell, column after column,
+    with ``n_present[i]`` cells for column ``i``; ``counts`` is the
+    (5, n_values) scan matrix the codes index.  One ``np.unique`` over
+    (column, code) keys gives every column's distinct values with their
+    frequencies, and one ``np.bincount`` per sum folds the frequency-weighted
+    counts into per-column totals.  Every term is an exact integer in
+    float64 (counts are small integers, column totals far below 2**53), so
+    the sums are exact in any order: a column tallied whole and one tallied
+    chunk by chunk (:meth:`repro.sketch.ColumnSketch.update`) agree bit for
+    bit.
+    """
+    n_cols = len(n_present)
+    stride = int(codes.max()) + 1 if codes.size else 1
+    keys = np.repeat(np.arange(n_cols, dtype=np.intp) * stride, n_present)
+    keys += codes
+    keys, freq = np.unique(keys, return_counts=True)
+    column, code = np.divmod(keys, stride)
+    weights = freq.astype(float)
+    sums = np.empty((5, n_cols))
+    sumsq = np.empty((5, n_cols))
+    for j in range(5):
+        row = counts[j, code]
+        weighted = row * weights
+        sums[j] = np.bincount(column, weights=weighted, minlength=n_cols)
+        weighted *= row
+        sumsq[j] = np.bincount(column, weights=weighted, minlength=n_cols)
+    return ColumnTally(column, code, freq, sums, sumsq)
+
+
 def compute_stats_batch(
     columns: list[Column],
     samples_list: list[list[str] | None] | None = None,
@@ -504,14 +590,21 @@ def compute_stats_batch(
 
     The batched kernel shares one vectorized scan across every column: cell
     values are interned into one distinct table (values repeated across
-    columns — category levels, small integers — are scanned once), the flat
-    codepoint array of the distinct values goes through the LUT/segment
-    kernel in :func:`_scan_distinct`, and per-column moments are recovered
-    from frequency-weighted exact sums.  Sample probes are memoized.  With a
-    ``scan_cache``, interning and scan results persist across calls so a
-    whole corpus pays each distinct value once.  Results are identical to
-    calling :func:`compute_stats` per column; the batch amortizes the numpy
-    call overhead over the whole table.
+    columns — category levels, small integers — are scanned once) and
+    encoded as one array of codes, the distinct values go through the
+    sliced LUT/segment kernel in :func:`_scan_distinct`, and
+    :func:`tally_columns` recovers every column's distinct count and shape
+    count moments from exact frequency-weighted sums over its distinct
+    values.  The numeric mean/std run per column over the parsed cells, so
+    they round exactly as ``numpy`` does on the column.  Sample probes are
+    memoized.  With a ``scan_cache``, interning and scan results persist
+    across calls so a whole corpus pays each distinct value once.
+
+    Memory beyond the columns themselves is the interner, the scan rows of
+    the distinct values, one scan slice, and a few machine words per
+    present cell (its code, its tally key and its parsed value); nothing
+    scales with the number of characters.  Results are identical to calling
+    :func:`compute_stats` per column.
     """
     if samples_list is None:
         samples_list = [None] * len(columns)
@@ -520,80 +613,59 @@ def compute_stats_batch(
 
     cache = scan_cache if scan_cache is not None else StatsScanCache()
     interned = cache.value_index.__getitem__
-    values = cache.values
 
     n_cols = len(columns)
-    codes_flat: list[int] = []
-    extend_flat = codes_flat.extend
-    per_column: list[tuple[list[int], int, list[str] | None]] = []
-    for column, samples in zip(columns, samples_list):
-        cells = column.cells
-        present = [cell for cell in cells if cell is not None]
-        # one C-speed pass encodes the column; __missing__ interns novelty
-        codes = list(map(interned, present))
-        if not codes:
+    totals = np.fromiter(map(len, columns), count=n_cols, dtype=np.intp)
+    n_present = totals - np.fromiter(
+        (column.cells.count(None) for column in columns),
+        count=n_cols, dtype=np.intp,
+    )
+    ends = np.cumsum(n_present)
+    starts = ends - n_present
+    code_arr = np.empty(int(ends[-1]) if n_cols else 0, dtype=np.intp)
+    for column, start, stop in zip(columns, starts.tolist(), ends.tolist()):
+        if start == stop:
             telemetry.count("stats.empty_columns")
-        extend_flat(codes)
-        per_column.append((codes, len(cells) - len(present), samples))
+            continue
+        present = [cell for cell in column.cells if cell is not None]
+        # one C-speed pass encodes the column; __missing__ interns novelty
+        code_arr[start:stop] = np.fromiter(
+            map(interned, present), count=stop - start, dtype=np.intp
+        )
     if telemetry.enabled:
         telemetry.count("stats.columns", n_cols)
-        telemetry.count("stats.cells", sum(len(c) for c in columns))
+        telemetry.count("stats.cells", int(totals.sum()))
 
     cache.scan_novel()
-    counts = cache.counts
-    parsed = cache.parsed
-
-    # One reduceat over the whole batch recovers every column's count
-    # moments: the gathered per-cell counts are small integers, so segment
-    # sums are exact in float64 and the closed-form variance matches the
-    # per-column two-pass reference bit for bit.
-    n_present = np.fromiter(
-        (len(codes) for codes, _, _ in per_column), count=n_cols, dtype=np.intp
-    )
-    starts = np.zeros(n_cols, dtype=np.intp)
-    if n_cols > 1:
-        np.cumsum(n_present[:-1], out=starts[1:])
-    nonempty = np.flatnonzero(n_present)
-    means = np.zeros((5, n_cols))
-    stds = np.zeros((5, n_cols))
-    if nonempty.size:
-        code_arr = np.asarray(codes_flat, dtype=np.intp)
-        cache.mark_hits(code_arr)
-        gathered = counts[:, code_arr]
-        seg = starts[nonempty]
-        sums = np.add.reduceat(gathered, seg, axis=1)
-        sumsq = np.add.reduceat(gathered * gathered, seg, axis=1)
-        seg_n = n_present[nonempty].astype(float)
-        seg_means = sums / seg_n
-        variances = np.maximum(sumsq / seg_n - seg_means * seg_means, 0.0)
-        means[:, nonempty] = seg_means
-        stds[:, nonempty] = np.sqrt(variances)
-        parsed_flat = parsed[code_arr]
-    else:
-        parsed_flat = np.zeros(0)
+    tally = tally_columns(code_arr, n_present, cache.counts)
+    cache.mark_hits(tally.code)
+    parsed_flat = cache.parsed[code_arr]
 
     matrix = np.zeros((n_cols, N_STATS))
-    totals = np.fromiter(map(len, columns), count=n_cols, dtype=float)
     matrix[:, 0] = totals
     matrix[:, 1] = totals - n_present
-    distincts = np.fromiter(
-        (len(set(codes)) for codes, _, _ in per_column), count=n_cols, dtype=float
-    )
+    distincts = np.bincount(tally.column, minlength=n_cols).astype(float)
     matrix[:, 3] = distincts
     sized = totals > 0
-    matrix[sized, 2] = matrix[sized, 1] / totals[sized]
-    matrix[sized, 4] = distincts[sized] / totals[sized]
-    matrix[:, 9:19:2] = means.T  # mean word/stop/char/ws/delim counts
-    matrix[:, 10:20:2] = stds.T
+    matrix[sized, 2] = matrix[sized, 1] / matrix[sized, 0]
+    matrix[sized, 4] = distincts[sized] / matrix[sized, 0]
+    nonempty = np.flatnonzero(n_present)
+    if nonempty.size:
+        seg_n = n_present[nonempty].astype(float)
+        seg_means = tally.sums[:, nonempty] / seg_n
+        variances = np.maximum(
+            tally.sumsq[:, nonempty] / seg_n - seg_means * seg_means, 0.0
+        )
+        matrix[nonempty, 9:19:2] = seg_means.T  # word/stop/char/ws/delim
+        matrix[nonempty, 10:20:2] = np.sqrt(variances).T
 
     probe_cache = cache.probe_cache
     out: list[DescriptiveStats] = []
-    for i, (codes, _, samples) in enumerate(per_column):
+    for i, (column, samples) in enumerate(zip(columns, samples_list)):
         row = matrix[i]
-        npres = len(codes)
+        npres = int(n_present[i])
         if npres:
-            start = starts[i]
-            chunk = parsed_flat[start : start + npres]
+            chunk = parsed_flat[starts[i] : ends[i]]
             numeric = chunk[~np.isnan(chunk)]
             if numeric.size:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -603,23 +675,10 @@ def compute_stats_batch(
                 row[8] = _finite(numeric.max())
             row[19] = numeric.size / npres
         if samples is None:
-            samples = _first_distinct(codes, values, 5)
+            samples = column.head_distinct(5)
         row[20:25] = _probe_samples(samples, probe_cache)
         out.append(DescriptiveStats(row))
     cache.end_batch()
-    return out
-
-
-def _first_distinct(codes: list[int], values: list[str], k: int) -> list[str]:
-    """First ``k`` distinct values of a column, in first-seen cell order."""
-    seen: set[int] = set()
-    out: list[str] = []
-    for code in codes:
-        if code not in seen:
-            seen.add(code)
-            out.append(values[code])
-            if len(out) == k:
-                break
     return out
 
 

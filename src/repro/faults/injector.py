@@ -21,10 +21,10 @@ Registered points (see ``docs/robustness.md``):
 ================  =====================================================
 ``cache.read``    :meth:`ArtifactCache.get`, before the entry is read
 ``cache.write``   :meth:`ArtifactCache.put`; ``corrupt`` mangles payload
-``csv.read``      :func:`load_csv_table` / :func:`iter_csv_chunks`, before
-                  the file is opened
-``csv.read_chunk``  streaming reader, before each chunk read (ctx:
-                  ``source``, ``index``)
+``csv.read``      :func:`load_csv_table` / :func:`iter_csv_chunks` on a
+                  path, once per load, before the file is opened
+``csv.read_chunk``  chunked reader (streamed and buffered loads), before
+                  each chunk read (ctx: ``source``, ``index``)
 ``model.load``    :func:`core.persistence.load_model`
 ``worker.run``    benchmark worker, before its experiment (ctx:
                   ``experiment``, ``attempt``, ``pid``)

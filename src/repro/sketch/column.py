@@ -11,7 +11,8 @@ Parity contract (asserted in ``tests/test_sketch.py``):
 
 * 23 of the 25 statistics are **bit-identical** to the batch kernel on the
   same rows: all count/percentage stats, the five shape-count mean/std
-  pairs (their segment sums are exact integers in both kernels),
+  pairs (both kernels take them from the same exact integer sums,
+  :func:`~repro.core.stats.tally_columns`),
   ``min_value``/``max_value``, ``numeric_fraction``, and the five boolean
   sample probes.
 * ``mean_value``/``std_value`` carry the documented float-reassociation
@@ -26,9 +27,10 @@ Parity contract (asserted in ``tests/test_sketch.py``):
 
 Bounded state: the distinct-value dict is capped, sample candidates are
 capped at ``sample_k``, and the moment accumulators are O(1).  The
-per-chunk scan reuses the PR 2 LUT/segment-sum kernel through a shared
-:class:`~repro.core.stats.StatsScanCache` (whose recycling is the
-caller's — typically the profiler's — responsibility).
+per-chunk scan reuses the LUT/segment-sum kernel through a shared
+:class:`~repro.core.stats.StatsScanCache`, which trims itself past its
+``max_values`` in :meth:`~repro.core.stats.StatsScanCache.end_batch` at
+the end of every :meth:`ColumnSketch.update`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.core.stats import (
     StatsScanCache,
     _finite,
     _probe_samples,
+    tally_columns,
 )
 from repro.obs import telemetry
 from repro.sketch.accumulator import ExactMoments
@@ -179,21 +182,20 @@ class ColumnSketch:
             return
         cache = scan_cache if scan_cache is not None else StatsScanCache()
         interned = cache.value_index.__getitem__
-        codes = list(map(interned, present))
+        code_arr = np.fromiter(
+            map(interned, present), count=len(present), dtype=np.intp
+        )
         cache.scan_novel()
-        code_arr = np.asarray(codes, dtype=np.intp)
-        uniq, freq = np.unique(code_arr, return_counts=True)
+        # The batch kernel's tally with a batch of one column: exact
+        # integer sums, so chunked accumulation equals the whole column's.
+        tally = tally_columns(
+            code_arr, np.array([len(present)]), cache.counts
+        )
+        uniq, freq = tally.code, tally.freq
         cache.mark_hits(uniq)
-        weights = freq.astype(float)
-        # Frequency-weighted segment sums: every term is an exact integer
-        # in float64 (counts are small ints, chunk totals << 2**53), so
-        # these equal the batch kernel's per-cell reduceat sums exactly.
-        sub = cache.counts[:, uniq]
-        sums = sub @ weights
-        sumsq = (sub * sub) @ weights
         for j in range(5):
-            self._count_sums[j] += int(sums[j])
-            self._count_sumsqs[j] += int(sumsq[j])
+            self._count_sums[j] += int(tally.sums[j, 0])
+            self._count_sumsqs[j] += int(tally.sumsq[j, 0])
         parsed = cache.parsed[uniq]
         numeric_mask = ~np.isnan(parsed)
         if numeric_mask.any():

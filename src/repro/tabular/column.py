@@ -8,6 +8,7 @@ provided as methods; missing cells are represented by ``None``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
 
 from repro.tabular.dtypes import is_missing, try_parse_float
 
@@ -68,13 +69,14 @@ class Column:
 
     def distinct(self) -> list[str]:
         """Distinct non-missing values in first-seen order."""
+        return list(self._iter_distinct())
+
+    def _iter_distinct(self) -> Iterator[str]:
         seen: set[str] = set()
-        out: list[str] = []
         for cell in self._cells:
             if cell is not None and cell not in seen:
                 seen.add(cell)
-                out.append(cell)
-        return out
+                yield cell
 
     def numeric_values(self) -> list[float]:
         """Cells that parse as plain floats (``int``/``float`` literals)."""
@@ -106,5 +108,10 @@ class Column:
         return [pool[i] for i in sorted(index)]
 
     def head_distinct(self, k: int) -> list[str]:
-        """First ``k`` distinct non-missing values (deterministic sampling)."""
-        return self.distinct()[:k]
+        """First ``k`` distinct non-missing values (deterministic sampling).
+
+        Equals ``distinct()[:k]`` but stops at the ``k``-th distinct value.
+        """
+        if k < 0:
+            return self.distinct()[:k]  # slice semantics
+        return list(islice(self._iter_distinct(), k))

@@ -19,13 +19,18 @@ from __future__ import annotations
 
 import codecs
 import csv
+import functools
 import io
+import itertools
 import os
+import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.faults import FaultInjectedError, faults
 from repro.obs import telemetry
+from repro.tabular.column import Column
 from repro.tabular.table import Table
 
 _SNIFF_DELIMITERS = ",;\t|"
@@ -40,6 +45,13 @@ DEFAULT_CHUNK_ROWS = 16_384
 #: seeing 20 complete lines (absurdly long first lines).  Below this cap
 #: the sniff sees exactly the lines the whole-text path sees.
 DEFAULT_SNIFF_CHARS = 1 << 20
+
+#: First prefix :func:`sniff_delimiter` splits (grown 4× until it holds
+#: 20 lines).
+_SNIFF_PREFIX_CHARS = 1 << 12
+
+#: The line boundaries of ``str.splitlines``.
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class CSVReadError(ValueError):
@@ -102,11 +114,43 @@ def decode_csv_bytes(data: bytes) -> str:
 
 
 def read_csv(path: str | os.PathLike, delimiter: str | None = None) -> Table:
-    """Read a CSV file from disk into a :class:`Table`."""
+    """Read a CSV file from disk into a :class:`Table`.
+
+    The file streams through :func:`iter_csv_chunks` in
+    ``DEFAULT_IO_CHUNK_BYTES`` reads, and each chunk's rows go into the
+    table's columns as they arrive, so the whole file's bytes, decoded text
+    and parsed rows are never held at once: beyond the table itself, the
+    load holds one read, one chunk of rows and the delimiter-sniffing
+    prefix.  The table equals ``read_csv_text(decode_csv_bytes(data))`` of
+    the file's bytes cell for cell, with the same telemetry and the same
+    :class:`CSVReadError` for undecodable or unparseable input (a mid-file
+    error stops the read, so the repair counters then cover only the bytes
+    read before it).  Opening or reading the file raises :class:`OSError`
+    unchanged; every read passes the ``csv.read_chunk`` fault point, and
+    ``csv.read`` is left to :func:`load_csv_table`, so a load passes it
+    once.
+    """
+    display = os.fspath(path)
+    name = os.path.splitext(os.path.basename(display))[0]
     with open(path, "rb") as handle:
-        data = handle.read()
-    name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return read_csv_text(decode_csv_bytes(data), name=name, delimiter=delimiter)
+        # An iterable of reads, not the handle: a failed read propagates as
+        # the OSError it is, and the load passes no second ``csv.read``.
+        read = functools.partial(handle.read, DEFAULT_IO_CHUNK_BYTES)
+        pieces = iter(read, b"")
+        # No sniff cap: the sniff sees the first 20 lines, however long.
+        chunks = iter_csv_chunks(
+            pieces, name=display, delimiter=delimiter, sniff_chars=sys.maxsize
+        )
+        first = next(chunks)
+        columns: list[list[str | None]] = [[] for _ in first.header]
+        for chunk in itertools.chain([first], chunks):
+            # chunk rows are already padded to the header width
+            for cells, values in zip(columns, zip(*chunk.rows)):
+                cells.extend(values)
+    return Table(
+        [Column(col, cells) for col, cells in zip(first.header, columns)],
+        name=name,
+    )
 
 
 def load_csv_table(path: str | os.PathLike, delimiter: str | None = None) -> Table:
@@ -185,9 +229,27 @@ def to_csv_text(table: Table) -> str:
     return buffer.getvalue()
 
 
+def _leading_lines(text: str, n: int) -> list[str]:
+    """``text.splitlines()[:n]``, splitting only a prefix of ``text``.
+
+    The prefix grows until it splits into more than ``n`` entries or covers
+    the text.  More than ``n`` entries means the ``n``-th line ends inside
+    the prefix, break included (a ``\\r\\n`` pair too, since the next entry
+    starts after it), so the first ``n`` entries are the text's own.
+    """
+    size = _SNIFF_PREFIX_CHARS
+    while size < len(text):
+        lines = text[:size].splitlines()
+        if len(lines) > n:
+            return lines[:n]
+        size *= 4
+    return text.splitlines()[:n]
+
+
 def sniff_delimiter(text: str) -> str:
-    """Pick the delimiter whose count is most consistent across sample lines."""
-    lines = [line for line in text.splitlines()[:20] if line.strip()]
+    """Pick the delimiter whose count is most consistent across the first
+    20 lines (``str.splitlines`` lines; only those are split)."""
+    lines = [line for line in _leading_lines(text, 20) if line.strip()]
     if not lines:
         return ","
     best, best_score = ",", -1.0
@@ -430,7 +492,12 @@ def iter_csv_chunks(
     At least one chunk is always yielded for a non-empty stream, so
     consumers learn the header even for a header-only file.  Memory is
     bounded by ``io_chunk_bytes`` + ``chunk_rows`` rows + ``sniff_chars``,
-    independent of the stream length.
+    independent of the stream length.  The sniff buffers decoded text until
+    it holds 20 complete lines, and re-splits it only after a read that
+    brought a line break, so long first lines are not re-split on every
+    read.  :func:`read_csv`
+    is this reader with an unbounded ``sniff_chars``, folding the chunks into
+    one :class:`Table`.
     """
     if chunk_rows < 1:
         raise ValueError("chunk_rows must be positive")
@@ -457,8 +524,13 @@ def iter_csv_chunks(
                 sniff_text += decoder.feed(b"", final=True)
                 exhausted = True
                 break
-            sniff_text += decoder.feed(data)
-            if len(sniff_text.splitlines()) > 20:
+            text = decoder.feed(data)
+            # a new line can only start where a line break just arrived
+            window = sniff_text[-1:] + text
+            sniff_text += text
+            if _LINE_BREAK.search(window) and len(
+                _leading_lines(sniff_text, 21)
+            ) > 20:
                 break
         delimiter = sniff_delimiter(sniff_text)
 

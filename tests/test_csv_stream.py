@@ -15,10 +15,13 @@ import pytest
 
 from repro.faults import FaultPlan, faults
 from repro.obs import telemetry
+from repro.tabular import csv_io
 from repro.tabular.csv_io import (
     CSVReadError,
+    decode_csv_bytes,
     iter_csv_chunks,
     load_csv_table,
+    read_csv_text,
 )
 
 MANGLED_DIR = Path(__file__).parent / "data" / "mangled"
@@ -70,6 +73,47 @@ class TestBatchParity:
             # Header-only files: the batch loader keeps the header; the
             # stream yields it in a single empty chunk.
             assert got[0] == want[0] and got[1] == []
+
+    @pytest.mark.parametrize(
+        "path", sorted(MANGLED_DIR.glob("*.csv")), ids=lambda p: p.name
+    )
+    @pytest.mark.parametrize("io_chunk_bytes", [3, 7, 1 << 20])
+    def test_read_csv_equals_whole_text_parse(
+        self, path, io_chunk_bytes, monkeypatch
+    ):
+        """``read_csv`` reads through the chunked reader, yet gives the
+        table, telemetry counters and ``CSVReadError`` message of parsing
+        the whole decoded file at once.  (A mid-file error stops the read,
+        so its repair counters cover only the bytes read before it.)"""
+        monkeypatch.setattr(csv_io, "DEFAULT_IO_CHUNK_BYTES", io_chunk_bytes)
+
+        def outcome(load):
+            telemetry.enable()
+            telemetry.reset()
+            try:
+                try:
+                    table = load()
+                    result = (table.name, table.column_names,
+                              [list(row) for row in table.rows()])
+                except CSVReadError as exc:
+                    result = ("CSVReadError", str(exc))
+                counters = {
+                    name: telemetry.metrics.counter(name).value
+                    for name in ("csv.nul_bytes", "csv.decode_replaced",
+                                 "csv.ragged_rows")
+                }
+            finally:
+                telemetry.reset()
+                telemetry.disable()
+            return result, counters
+
+        want, want_counters = outcome(lambda: read_csv_text(
+            decode_csv_bytes(path.read_bytes()), name=path.stem
+        ))
+        got, got_counters = outcome(lambda: csv_io.read_csv(path))
+        assert got == want
+        if want[0] != "CSVReadError" or io_chunk_bytes > path.stat().st_size:
+            assert got_counters == want_counters
 
     def test_split_codepoint_cells_survive_one_byte_reads(self):
         path = MANGLED_DIR / "split_codepoint.csv"

@@ -40,7 +40,12 @@ from repro.serve import InferenceService, ModelRegistry, ServeClientError
 from repro.serve.client import RetryPolicy, ServeClient
 from repro.serve.http import make_server
 from repro.tabular.column import Column
-from repro.tabular.csv_io import CSVReadError, decode_csv_bytes, load_csv_table
+from repro.tabular.csv_io import (
+    CSVReadError,
+    decode_csv_bytes,
+    load_csv_table,
+    read_csv,
+)
 from repro.tabular.table import Table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -412,6 +417,36 @@ class TestMangledCSV:
             load_csv_table(path)
         # One strike only: ingestion recovers on retry.
         assert load_csv_table(path).column_names == ["id", "salary", "state"]
+
+    def test_one_csv_read_fire_per_load(self, tmp_path):
+        path = tmp_path / "fine.csv"
+        path.write_text(CSV_TEXT)
+        # a zero-second hang fires on every call without failing the load
+        faults.install(
+            plan({"point": "csv.read", "mode": "hang", "seconds": 0})
+        )
+        load_csv_table(path)
+        assert counter("faults.fired.csv.read") == 1
+        load_csv_table(path)
+        assert counter("faults.fired.csv.read") == 2
+        # so an on_call plan strikes the load it names
+        faults.install(plan({"point": "csv.read", "on_call": 2}))
+        assert load_csv_table(path).column_names == ["id", "salary", "state"]
+        with pytest.raises(CSVReadError, match="injected"):
+            load_csv_table(path)
+
+    def test_read_errors_keep_their_types_and_messages(self, tmp_path):
+        ghost = tmp_path / "ghost.csv"
+        with pytest.raises(FileNotFoundError):
+            read_csv(ghost)
+        with pytest.raises(IsADirectoryError):
+            read_csv(tmp_path)
+        with pytest.raises(CSVReadError) as exc_info:
+            load_csv_table(ghost)
+        assert str(exc_info.value) == (
+            f"cannot read {str(ghost)!r}: No such file or directory"
+        )
+        assert isinstance(exc_info.value.__cause__, FileNotFoundError)
 
 
 class TestProfileError:

@@ -15,15 +15,21 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import re
+import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchmark.context import BenchmarkContext
 from repro.benchmark.runner import main
 from repro.cache import ArtifactCache, artifact_key
+from repro.core import stats
 from repro.core.stats import (
     STAT_NAMES,
     DescriptiveStats,
@@ -31,6 +37,8 @@ from repro.core.stats import (
     _delimiter_count,
     _finite,
     _moments,
+    _scan_distinct,
+    _scan_value,
     _stopword_count,
     _whitespace_count,
     _word_count,
@@ -228,6 +236,146 @@ class TestVectorizedStatsParity:
         # Hits reset at each trim: only "c" hits before the next overflow.
         run("c", "e", "f", "g")
         assert cache.values == ["c"]
+
+
+#: Scan inputs where slicing could go wrong: stop words on either side of
+#: a boundary, empty and whitespace-only values, codepoints above U+3000
+#: (the scalar fallback; fullwidth digits even parse), and a value longer
+#: than small slice budgets.
+EDGE_VALUES = [
+    "the", "and of", "x the", "the y", "", "   ", "\t", " a ", "1.5", " 42 ",
+    "-2e3", "a,b;c|d:e", "日本 the", "\u3000the\u3000", "x\u3001y",
+    "\U0001f600 of", "ｘ　ｙ", "to be or not", "1,000", "nan", "ïs it",
+    "w" * 50, "of", "it is", "e12", "an  an", "\u2028the\u2029", "yes no",
+    "ab" * 13, "１２３", "４.５", "\U0001d7d9", "٣٤",
+]
+
+value_strategy = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.text(
+        alphabet=st.sampled_from(list("theandofitxy19.,;|:- \t\u3000\u3001日")),
+        max_size=12,
+    ),
+    st.text(max_size=6),
+)
+
+
+def _scan(values):
+    counts = np.full((5, len(values)), -1.0)
+    parsed = np.full(len(values), -1.0)
+    _scan_distinct(values, counts, parsed)
+    return counts, parsed
+
+
+def _bits(*arrays):
+    return [array.tobytes() for array in arrays]
+
+
+def _reference_shape_moments(column):
+    """num_distinct and the 10 shape-count mean/std values of one column,
+    from the scalar scan and exact Python integer sums."""
+    present = column.non_missing()
+    n = len(present)
+    out = [float(len(set(present)))]
+    rows = [_scan_value(value)[:5] for value in present]
+    for j in range(5):
+        if not n:
+            out += [0.0, 0.0]
+            continue
+        total = sum(int(row[j]) for row in rows)
+        total_sq = sum(int(row[j]) ** 2 for row in rows)
+        mean = float(total) / n
+        out += [mean, math.sqrt(max(float(total_sq) / n - mean * mean, 0.0))]
+    return out
+
+
+SHAPE_INDICES = [3] + list(range(9, 19))
+
+
+class TestBoundedScan:
+    """The sliced scan kernel and the tallied column moments change no
+    result, and keep the batch's memory proportional to its values."""
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, 40, 200])
+    def test_sliced_scan_equals_one_slice(self, budget, monkeypatch):
+        values = EDGE_VALUES + EDGE_VALUES[::-1]
+        whole = _scan(values)
+        sizes = []
+        kernel = stats._scan_slice
+
+        def spy(part, *args):
+            sizes.append(len(part))
+            return kernel(part, *args)
+
+        monkeypatch.setattr(stats, "_scan_slice", spy)
+        monkeypatch.setattr(stats, "SCAN_SLICE_CHARS", budget)
+        assert _bits(*_scan(values)) == _bits(*whole)
+        assert sum(sizes) == len(values)
+        if budget <= 2:
+            assert max(sizes) == 1  # every value is its own slice
+        if budget == 8:
+            assert 2 in sizes  # "x the"+"the y" and other pairs
+        if budget >= 40:
+            assert max(sizes) > 2  # many values per slice
+        if budget == 40:
+            assert 1 in sizes  # "w" * 50 exceeds the budget: its own slice
+
+    @given(
+        values=st.lists(value_strategy, max_size=40),
+        budget=st.integers(min_value=1, max_value=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sliced_scan_equals_one_slice_on_random_values(
+        self, values, budget
+    ):
+        whole = _scan(values)
+        with patch.object(stats, "SCAN_SLICE_CHARS", budget):
+            assert _bits(*_scan(values)) == _bits(*whole)
+
+    @given(
+        columns=st.lists(
+            st.lists(
+                st.one_of(st.none(), st.sampled_from(["", "NA", "null"]),
+                          value_strategy),
+                max_size=25,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        budget=st.sampled_from([3, 1 << 18]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_tallied_moments_equal_per_column_reference(self, columns, budget):
+        columns = [Column(f"c{i}", cells) for i, cells in enumerate(columns)]
+        with patch.object(stats, "SCAN_SLICE_CHARS", budget):
+            batch = compute_stats_batch(columns)
+        for column, result in zip(columns, batch):
+            got = result.values[SHAPE_INDICES].tolist()
+            assert got == _reference_shape_moments(column), column.cells
+
+    def test_traced_peak_scales_with_values_not_characters(self):
+        n = 200_000
+        column = Column(
+            "c", [f"v{i:06d} the quick, brown fox" for i in range(n)]
+        )
+        chars = sum(map(len, column.cells))  # 5.6M
+        compute_stats_batch([Column("w", ["warm the LUTs up"])])
+        tracemalloc.start()
+        try:
+            compute_stats_batch([column])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Per distinct value: its interner entry and int code (~100 B),
+        # its scan row (6 floats, 48 B) and a few machine words per cell
+        # for the codes, tally keys and parsed values (~80 B); 256 B
+        # leaves headroom.  Plus one scan slice, whose arrays take ~56 B
+        # per character (64 B allowed).  This measures 45 MB against the
+        # 68 MB bound; a scan over all characters at once adds
+        # ~56 B x 5.6M = ~314 MB and fails it.
+        bound = n * 256 + 64 * stats.SCAN_SLICE_CHARS
+        assert chars > 10 * stats.SCAN_SLICE_CHARS
+        assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestArtifactCacheParity:

@@ -63,6 +63,18 @@ def test_head_distinct():
     assert col.head_distinct(2) == ["c", "a"]
 
 
+def test_head_distinct_is_a_prefix_of_distinct_for_every_k():
+    cells = [None, "c", "NA", "a", "c", None, "b", "a", "", "d", "c", "e"]
+    col = Column("x", cells)
+    distinct = col.distinct()
+    assert distinct == ["c", "a", "b", "d", "e"]
+    for k in range(-2, len(distinct) + 3):
+        assert col.head_distinct(k) == distinct[:k], k
+    for empty in (Column("e", []), Column("m", [None, "null", None])):
+        for k in range(-1, 3):
+            assert empty.head_distinct(k) == empty.distinct()[:k] == []
+
+
 def test_equality():
     assert Column("x", ["a"]) == Column("x", ["a"])
     assert Column("x", ["a"]) != Column("y", ["a"])
