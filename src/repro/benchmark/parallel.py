@@ -143,6 +143,9 @@ def warm_up(context: BenchmarkContext) -> None:
         context.corpus
         context.train  # builds the split
         context.our_rf
+        # logreg/SVM fits import scipy.optimize lazily; load it once here so
+        # forked workers inherit it instead of each paying ~0.5 s on first fit.
+        import scipy.optimize  # noqa: F401
     telemetry.info("parallel.warmup_done", n_examples=context.n_examples)
 
 

@@ -822,15 +822,23 @@ def merge_results(queue: WorkQueue, context, names: list[str]) -> list[dict]:
     return records
 
 
-def queue_report(queue: WorkQueue) -> dict:
-    """Aggregate the run's coordination story for manifests and stdout."""
+def queue_report(queue: WorkQueue, context) -> dict:
+    """Aggregate the run's coordination story for manifests and stdout.
+
+    ``duplicate_completions`` counts completions beyond one per task plus
+    one per steal: a task that ran twice without its lease going stale.
+    """
     workers = queue.worker_summaries()
+    n_tasks = len(expand_tasks(queue.load_spec()["experiments"], context))
+    steals = sum(w.get("steals", 0) for w in workers)
+    completed = sum(w.get("completed", 0) for w in workers)
     return {
         "run_dir": str(queue.run_dir),
         "n_workers": len(workers),
         "claims": sum(w.get("claims", 0) for w in workers),
-        "steals": sum(w.get("steals", 0) for w in workers),
-        "completed": sum(w.get("completed", 0) for w in workers),
+        "steals": steals,
+        "completed": completed,
+        "duplicate_completions": max(0, completed - n_tasks - steals),
         "failed": sum(w.get("failed", 0) for w in workers),
         "stale_writes_rejected": sum(
             w.get("stale_writes_rejected", 0) for w in workers
@@ -860,6 +868,8 @@ def render_queue_report(report: dict) -> str:
         + (f", {report['failed']} failed" if report["failed"] else "")
         + (f", {report['stale_writes_rejected']} stale write(s) rejected"
            if report["stale_writes_rejected"] else "")
+        + (f", {report['duplicate_completions']} duplicate completion(s)"
+           if report["duplicate_completions"] else "")
     ]
     for worker in report["workers"]:
         state = "finished" if worker["finished"] else "did not finish"

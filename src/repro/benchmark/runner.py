@@ -626,7 +626,7 @@ def _merge_main(argv: list[str]) -> int:
             resumed=bool(record.get("resumed")),
         )
 
-    report = q.queue_report(queue)
+    report = q.queue_report(queue, context)
     print(file=sys.stderr)
     print(q.render_queue_report(report), file=sys.stderr)
     manifest.extra["queue"] = report

@@ -9,7 +9,6 @@ regularization strength; the paper's grid is C in {1e-3 ... 1e3}).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.ml.base import (
     BaseEstimator,
@@ -59,6 +58,10 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
             grad_w = X.T @ grad_logits + alpha * weights
             grad_b = grad_logits.sum(axis=0)
             return loss, np.concatenate([grad_w.ravel(), grad_b])
+
+        # Imported here, not at module level: scipy.optimize takes ~0.5 s to
+        # import and only fitting needs it, so inference and serving never load it.
+        from scipy.optimize import minimize
 
         start = np.zeros(n_features * n_classes + n_classes)
         result = minimize(

@@ -11,7 +11,6 @@ laptop scale — a documented substitution in DESIGN.md.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.ml.base import BaseEstimator, ClassifierMixin, check_array, check_X_y
 from repro.ml.preprocessing import LabelEncoder
@@ -85,6 +84,10 @@ class RBFSVM(BaseEstimator, ClassifierMixin):
             grad_w = phi.T @ grad_margins + lam * weights
             grad_b = grad_margins.sum(axis=0)
             return loss, np.concatenate([grad_w.ravel(), grad_b])
+
+        # Imported here, not at module level: scipy.optimize takes ~0.5 s to
+        # import and only fitting needs it, so inference and serving never load it.
+        from scipy.optimize import minimize
 
         start = np.zeros(n_features * n_classes + n_classes)
         result = minimize(

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
+
+import numpy as np
 
 #: The smallest positive float64 (subnormal) is ``2**-1074``: multiplying
 #: any finite float64 by ``2**1074`` therefore yields an exact integer.
@@ -31,6 +34,19 @@ _SCALE_BITS = 1074
 _SQ_SCALE_BITS = 2 * _SCALE_BITS
 _SCALE = 1 << _SCALE_BITS
 _SQ_SCALE = 1 << _SQ_SCALE_BITS
+#: ``np.frexp`` fractions lie in [0.5, 1): times ``2**53`` they are exact
+#: int64 mantissas.
+_MANTISSA_BITS = 53
+
+
+def _shift(value: int, bits: int) -> int:
+    """``value * 2**bits``, exact for either sign of ``bits``.
+
+    A subnormal's frexp exponent can put ``bits`` below zero; its mantissa
+    then ends in at least ``-bits`` zero bits, so the right shift drops
+    only zeros.
+    """
+    return value << bits if bits >= 0 else value >> -bits
 
 
 def _to_float(fraction: Fraction) -> float:
@@ -82,13 +98,48 @@ class ExactMoments:
             self.max = value
 
     def add_many(self, values, weights=None) -> None:
-        """Accumulate a batch (``weights`` aligns with ``values`` when given)."""
+        """Accumulate a batch (``weights`` aligns with ``values`` when given).
+
+        Leaves the same state as calling :meth:`add_weighted` on each pair
+        in order, without a big-int shift per value: ``np.frexp`` writes
+        each value as an int64 mantissa ``m`` (``|m| < 2**53``) times
+        ``2**(e - 53)``, so the values sharing an exponent ``e`` contribute
+        ``sum(w * m)`` and ``sum(w * m * m)`` shifted once.  Non-finite
+        input raises ``ValueError`` before any state changes.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if not values.size:
+            return
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = float(values[np.argmin(finite)])
+            raise ValueError(f"ExactMoments requires finite values, got {bad!r}")
         if weights is None:
-            for value in values:
-                self.add_weighted(value, 1)
+            weights = np.ones(values.size, dtype=np.int64)
         else:
-            for value, weight in zip(values, weights):
-                self.add_weighted(value, int(weight))
+            weights = np.asarray(weights, dtype=np.int64)
+        fraction, exponent = np.frexp(values)
+        mantissa = np.ldexp(fraction, _MANTISSA_BITS).astype(np.int64)
+        order = np.argsort(exponent, kind="stable")
+        exponent = exponent[order]
+        mantissa = mantissa[order].tolist()
+        freq = weights[order].tolist()
+        starts = np.flatnonzero(np.diff(exponent)) + 1
+        bounds = zip([0, *starts.tolist()], [*starts.tolist(), len(freq)])
+        for lo, hi in bounds:
+            m, w = mantissa[lo:hi], freq[lo:hi]
+            shift = _SCALE_BITS + int(exponent[lo]) - _MANTISSA_BITS
+            self._sum += _shift(sum(map(mul, w, m)), shift)
+            self._sumsq += _shift(sum(map(mul, w, map(mul, m, m))), 2 * shift)
+        self.count += sum(freq)
+        # argmin/argmax take the first of equal values, as the scalar loop
+        # keeps the first of a 0.0/-0.0 tie.
+        low = float(values[np.argmin(values)])
+        high = float(values[np.argmax(values)])
+        if low < self.min:
+            self.min = low
+        if high > self.max:
+            self.max = high
 
     def merge(self, other: "ExactMoments") -> "ExactMoments":
         self.count += other.count

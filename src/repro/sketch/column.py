@@ -199,9 +199,7 @@ class ColumnSketch:
         parsed = cache.parsed[uniq]
         numeric_mask = ~np.isnan(parsed)
         if numeric_mask.any():
-            self._moments.add_many(
-                parsed[numeric_mask].tolist(), freq[numeric_mask].tolist()
-            )
+            self._moments.add_many(parsed[numeric_mask], freq[numeric_mask])
         if self.config.sample_mode == "reservoir":
             self._update_reservoir(
                 cache.values[code] for code in uniq.tolist()

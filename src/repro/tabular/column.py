@@ -10,13 +10,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import islice
 
-from repro.tabular.dtypes import is_missing, try_parse_float
+from repro.tabular.dtypes import MISSING_TOKENS, is_missing, try_parse_float
 
-# Tokens treated as missing/NaN when reading raw data (mirrors what pandas
-# treats as NA plus the spreadsheet artifacts the paper calls out, e.g. #NULL!).
-MISSING_TOKENS = frozenset(
-    {"", "na", "n/a", "nan", "null", "none", "#null!", "#n/a", "?", "-", "missing"}
-)
+__all__ = ["Column", "MISSING_TOKENS"]
 
 
 class Column:

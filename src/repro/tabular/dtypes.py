@@ -12,7 +12,9 @@ import enum
 import math
 import re
 
-_MISSING_TOKENS = frozenset(
+# Tokens treated as missing/NaN when reading raw data (mirrors what pandas
+# treats as NA plus the spreadsheet artifacts the paper calls out, e.g. #NULL!).
+MISSING_TOKENS = frozenset(
     {"", "na", "n/a", "nan", "null", "none", "#null!", "#n/a", "?", "-", "missing"}
 )
 
@@ -91,7 +93,7 @@ class SyntacticType(enum.Enum):
 
 def is_missing(cell: str) -> bool:
     """True when a raw cell should be treated as missing/NaN."""
-    return cell.strip().lower() in _MISSING_TOKENS
+    return cell.strip().lower() in MISSING_TOKENS
 
 
 def try_parse_float(cell: str) -> float | None:

@@ -42,6 +42,7 @@ from repro.benchmark.queue import (
     expand_tasks,
     merge_results,
     queue_report,
+    render_queue_report,
     task_stem,
     wait_for_completion,
 )
@@ -380,6 +381,29 @@ class TestRunSpec:
         with pytest.raises(QueueError, match="no worker has published"):
             WorkQueue(tmp_path / "run").load_spec()
 
+    def test_report_counts_completions_beyond_tasks_and_steals(
+        self, fake_shardable, tmp_path
+    ):
+        queue = WorkQueue(tmp_path / "run", owner="A")
+        _publish(queue, ["fake_heavy", "fake_mono"])
+        n_tasks = len(FAKE_SHARDS) + 1
+        queue.workers_dir.mkdir(parents=True)
+        for owner, completed, steals in (("A", n_tasks, 0), ("B", 3, 1)):
+            (queue.workers_dir / f"{owner}.json").write_text(json.dumps(
+                {"owner": owner, "claims": completed, "steals": steals,
+                 "completed": completed}
+            ))
+        report = queue_report(queue, None)
+        assert report["duplicate_completions"] == 2  # 3 extra, 1 a steal
+        assert "2 duplicate completion(s)" in render_queue_report(report)
+
+        (queue.workers_dir / "B.json").write_text(json.dumps(
+            {"owner": "B", "claims": 1, "steals": 1, "completed": 1}
+        ))
+        report = queue_report(queue, None)
+        assert report["duplicate_completions"] == 0
+        assert "duplicate" not in render_queue_report(report)
+
 
 # ---------------------------------------------------------------------------
 # Crash recovery: kill a worker mid-shard, a peer steals, merge == serial
@@ -431,7 +455,7 @@ class TestCrashRecovery:
         assert by_name["fake_mono"]["output"] == "mono-output"
         assert by_name["fake_heavy"]["attempts"] >= 2  # a steal happened
 
-        report = queue_report(queue)
+        report = queue_report(queue, None)
         assert report["steals"] >= 1
         summaries = {w["owner"]: w for w in report["workers"]}
         assert summaries["worker-b"]["steals"] >= 1
@@ -482,11 +506,12 @@ class TestCrashRecovery:
         # stale threshold, so each steal may add one attempt-fenced extra
         # completion record — never fewer, and the merged bytes above are
         # already asserted identical either way.
-        report = queue_report(queue)
+        report = queue_report(queue, None)
         n_tasks = len(FAKE_SHARDS) + 1
         assert (
             n_tasks <= report["completed"] <= n_tasks + report["steals"]
         ), report
+        assert report["duplicate_completions"] == 0, report
         assert report["n_workers"] == 3
 
     def test_deterministic_failure_is_terminal_not_retried(

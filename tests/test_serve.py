@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache import ArtifactCache
-from repro.core.models import RandomForestModel
+from repro.core.models import LogRegModel, RandomForestModel
 from repro.core.persistence import save_model
 from repro.core.pipeline import TypeInferencePipeline
 from repro.obs import telemetry
@@ -451,23 +451,64 @@ class TestTransport:
 
 
 class TestClientFootprint:
-    def test_client_import_leaves_service_stack_unloaded(self):
-        # A load generator or CLI client imports only the client; the
-        # service stack (numpy, models) stays out of its memory.
+    """What a fresh interpreter loads for each entry point.
+
+    Only ``LogisticRegression.fit``/``RBFSVM.fit`` import scipy, so the
+    inference stack (CLI, server, model load, predict) never pays its
+    ~0.5 s import or its memory.
+    """
+
+    @staticmethod
+    def _loaded(code: str, modules: tuple[str, ...]) -> list[str]:
+        """Run ``code`` in a fresh interpreter; the listed modules it loaded."""
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         probe = (
-            "import sys; from repro.serve.client import ServeClient; "
-            "print(sorted(m for m in ('numpy', 'repro.serve.service', "
-            "'repro.core.models') if m in sys.modules))"
+            f"import json, sys\n{code}\n"
+            f"print(json.dumps(sorted(m for m in {modules!r} if m in sys.modules)))"
         )
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True,
-            text=True, timeout=60, check=True,
+            text=True, timeout=120, check=True,
         )
-        assert out.stdout.strip() == "[]"
+        return json.loads(out.stdout.strip().splitlines()[-1])
+
+    def test_client_import_leaves_service_stack_unloaded(self):
+        # A load generator or CLI client imports only the client; the
+        # service stack (numpy, models) stays out of its memory.
+        code = "from repro.serve.client import ServeClient"
+        modules = ("numpy", "scipy", "repro.serve.service", "repro.core.models")
+        assert self._loaded(code, modules) == []
+
+    @pytest.fixture(scope="class")
+    def one_row_inputs(self, served_model_path, small_corpus, tmp_path_factory):
+        root = tmp_path_factory.mktemp("footprint")
+        csv_path = root / "one_row.csv"
+        csv_path.write_text("id,salary,state\n1,1013,CA\n")
+        logreg = LogRegModel()
+        logreg.fit(small_corpus.dataset)
+        logreg_path = root / "logreg.model"
+        save_model(logreg, logreg_path)
+        return {"csv": csv_path, "rf": served_model_path, "logreg": logreg_path}
+
+    @pytest.mark.parametrize(
+        "case", ["import-cli", "import-serve-cli", "infer-rf", "infer-logreg"]
+    )
+    def test_inference_stack_leaves_scipy_unloaded(self, case, one_row_inputs):
+        if case == "import-cli":
+            code = "import repro.cli"
+        elif case == "import-serve-cli":
+            code = "import repro.serve.cli"
+        else:
+            argv = [
+                str(one_row_inputs["csv"]),
+                "--model", str(one_row_inputs[case.split("-")[1]]),
+                "--json",
+            ]
+            code = f"import repro.cli\nassert repro.cli.main({argv!r}) == 0"
+        assert self._loaded(code, ("scipy",)) == []
 
 
 class TestSpanRetention:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import io
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.featurize import ProfileError, profile_table
@@ -121,6 +122,53 @@ class TestExactMoments:
             moments.add(math.inf)
         with pytest.raises(ValueError):
             moments.add(math.nan)
+
+    def test_add_many_rejects_non_finite_before_changing_state(self):
+        moments = ExactMoments()
+        moments.add(2.0)
+        with pytest.raises(ValueError, match="nan"):
+            moments.add_many([1.0, math.nan, 3.0])
+        reference = ExactMoments()
+        reference.add(2.0)
+        assert moments == reference
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(
+                        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.7976931348623157e308, -1.7976931348623157e308]
+                    ),
+                ),
+                st.integers(0, 1000),
+            ),
+            max_size=40,
+        ),
+        start=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+        weighted=st.booleans(),
+    )
+    # A 0.0/-0.0 tie at the min or max keeps the first of the two.
+    @example(pairs=[(0.0, 1), (-0.0, 2), (5.0, 1)], start=None, weighted=True)
+    @example(pairs=[(-0.0, 1), (0.0, 2), (-5.0, 1)], start=None, weighted=True)
+    @settings(max_examples=300, deadline=None)
+    def test_add_many_equals_add_weighted_loop(self, pairs, start, weighted):
+        values = [value for value, _ in pairs]
+        weights = [weight for _, weight in pairs] if weighted else [1] * len(pairs)
+        loop, batch = ExactMoments(), ExactMoments()
+        if start is not None:
+            loop.add(start)
+            batch.add(start)
+        for value, weight in zip(values, weights):
+            loop.add_weighted(value, weight)
+        batch.add_many(values, weights if weighted else None)
+        bits = lambda x: struct.pack("<d", x)  # tells 0.0 from -0.0
+        assert (batch.count, batch._sum, batch._sumsq) == (
+            loop.count, loop._sum, loop._sumsq
+        )
+        assert bits(batch.min) == bits(loop.min)
+        assert bits(batch.max) == bits(loop.max)
 
     def test_empty_is_zero(self):
         assert ExactMoments().mean_std() == (0.0, 0.0)
