@@ -1,9 +1,9 @@
 """Shardable experiments: decompose heavy experiments into sub-tasks.
 
-PR 2's parallel engine schedules whole experiments, so warm-cache wall time
-is dominated by the monolithic heavy experiments (``table15``,
-``downstream``, ``tuning``) — one worker grinds through 16–30 independent
-(dataset × model × fold) cells while the other workers idle.  These suites
+Scheduling whole experiments leaves warm-cache wall time dominated by the
+monolithic heavy experiments (``table15``, ``downstream``, ``tuning``) —
+one worker grinds through 16–30 independent (dataset × model × fold)
+cells while the other workers idle.  These suites
 are embarrassingly parallel at the cell grain: every cell seeds its own
 RNGs, so the cells can run anywhere in any order as long as the merge is
 deterministic.
@@ -13,18 +13,18 @@ A :class:`Shardable` declares that decomposition:
 * :meth:`~Shardable.shard_ids` — the canonical, ordered list of sub-task
   ids (one per cell; stable across runs for a given seed/scale);
 * :meth:`~Shardable.run_shard` — compute one cell; the returned payload
-  must be picklable (it crosses the worker pipe and is checkpointed under
-  ``--run-dir``);
+  must be picklable (it is checkpointed, pickled, under the run dir, where
+  the merge reads it back);
 * :meth:`~Shardable.merge` — fold the ``{shard_id: payload}`` mapping back
   into the experiment's rendered output.  Merge MUST be a pure function of
   the payload *values* (never of completion order), so sharded output is
   byte-identical to a serial run at any ``--jobs``.
 
-Tracing: shard workers are forked after the runner installs the run's
+Tracing: ``--jobs`` workers are forked after the runner installs the run's
 :class:`~repro.obs.context.TraceContext` as the process default, so every
-``parallel.shard`` span (and everything beneath it) carries the run's
-trace_id; the engine pipes those spans back and merges them into the
-parent tracer, the run manifest, and ``--trace-out``.
+``queue.task`` span (and everything beneath it) carries the run's
+trace_id; each worker writes its task's spans to a per-attempt file that
+the parent ingests into its tracer, the run manifest, and ``--trace-out``.
 
 The serial experiment entry points (``run_table15``,
 ``run_downstream_experiment``, ``run_tuning``) are themselves implemented
@@ -34,8 +34,8 @@ sharded paths share one code path and parity holds by construction —
 
 Registration is lazy (module path + attribute) so importing this module
 does not pull in the heavy experiment modules; the registry is consulted
-by :mod:`repro.benchmark.parallel` when expanding the task DAG and by the
-CLI's ``--shard-heavy/--no-shard-heavy`` flag.
+by :func:`repro.benchmark.queue.expand_tasks`, which turns the run's
+experiments into queue tasks for ``--jobs`` and ``repro-bench work``.
 """
 
 from __future__ import annotations

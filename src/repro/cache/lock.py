@@ -1,16 +1,15 @@
-"""Advisory cross-process file lock: O_EXCL create + heartbeat + stale-steal.
+"""Advisory cross-process file lock built on :mod:`repro.lease`.
 
-The same three-primitive protocol the benchmark work queue uses for task
-leases (:mod:`repro.benchmark.queue`), packaged as a tiny context manager
-for mutating cache maintenance — ``ArtifactCache.prune`` must not race a
-sibling worker's prune when N ``repro-bench work`` processes (or N
-``repro-serve`` nodes) share one artifact directory.
+A tiny context manager for mutating cache maintenance:
+``ArtifactCache.prune`` must not race a sibling worker's prune when N
+``repro-bench work`` processes (or N ``repro-serve`` nodes) share one
+artifact directory.
 
-Acquisition is one atomic ``O_EXCL`` create of ``<name>.lock``; the holder
-refreshes the file's mtime from a daemon thread, and a contender may break
-a lock whose mtime is older than the stale window (the holder crashed
-without unlinking).  Breaking is unlink-then-retry: the racing contenders
-then fight over one ``O_EXCL`` create again, so exactly one wins.
+Acquisition is one lease create of ``<name>.lock``; the holder heartbeats
+the file's mtime, and a contender may break a lock whose mtime is older
+than the stale window (the holder crashed without unlinking).  Breaking is
+unlink-then-retry: the racing contenders then fight over one exclusive
+create again, so exactly one wins.
 
 This is *advisory*: only callers that take the lock are excluded.  Reads
 (:meth:`ArtifactCache.get`) stay lock-free — entry checksums already make
@@ -19,13 +18,11 @@ torn reads safe, and a reader racing a prune just sees a miss.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
-import threading
 import time
-from pathlib import Path
 
+from repro import lease
 from repro.obs import telemetry
 
 DEFAULT_STALE_S = 30.0
@@ -54,56 +51,43 @@ class FileLock:
         heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         timeout_s: float | None = None,
     ):
-        self.path = Path(path)
+        self._lease = lease.Lease(path)
+        self.path = self._lease.path
         self.stale_after_s = stale_after_s
         self.heartbeat_s = heartbeat_s
         self.timeout_s = timeout_s
-        self._stop: threading.Event | None = None
 
     @property
     def held(self) -> bool:
-        return self._stop is not None
+        return self._lease.heartbeating
 
     def acquire(self) -> "FileLock":
         deadline = (
             None if self.timeout_s is None
             else time.monotonic() + self.timeout_s
         )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        while True:
-            try:
-                fd = os.open(
-                    self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
+        body = {"pid": os.getpid(), "host": socket.gethostname()}
+        while not self._lease.create({**body, "acquired_at": time.time()}):
+            if self._break_if_stale():
+                continue  # stolen: retry the exclusive create immediately
+            if deadline is not None and time.monotonic() > deadline:
+                raise LockTimeout(
+                    f"could not acquire {self.path} within "
+                    f"{self.timeout_s:.0f}s (held by a live process)"
                 )
-            except FileExistsError:
-                if self._break_if_stale():
-                    continue  # stolen: retry the O_EXCL create immediately
-                if deadline is not None and time.monotonic() > deadline:
-                    raise LockTimeout(
-                        f"could not acquire {self.path} within "
-                        f"{self.timeout_s:.0f}s (held by a live process)"
-                    )
-                time.sleep(_RETRY_S)
-                continue
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump({
-                    "pid": os.getpid(),
-                    "host": socket.gethostname(),
-                    "acquired_at": time.time(),
-                }, handle)
-            self._start_heartbeat()
-            telemetry.count("lock.acquired")
-            return self
+            time.sleep(_RETRY_S)
+        self._lease.start_heartbeat(self.heartbeat_s)
+        telemetry.count("lock.acquired")
+        return self
 
     def _break_if_stale(self) -> bool:
-        try:
-            age = time.time() - self.path.stat().st_mtime
-        except OSError:
+        age = lease.age_s(self.path)
+        if age is None:
             return True  # holder released between create and stat: retry
         if age <= self.stale_after_s:
             return False
         # The holder has not heartbeated for the whole stale window: it is
-        # dead.  Unlink and let every contender race one O_EXCL create.
+        # dead.  Unlink and let every contender race one exclusive create.
         try:
             self.path.unlink()
         except OSError:
@@ -114,28 +98,8 @@ class FileLock:
         )
         return True
 
-    def _start_heartbeat(self) -> None:
-        stop = threading.Event()
-        self._stop = stop
-
-        def beat() -> None:
-            while not stop.wait(self.heartbeat_s):
-                try:
-                    os.utime(self.path)
-                except OSError:
-                    return
-
-        threading.Thread(target=beat, daemon=True, name="filelock-hb")\
-            .start()
-
     def release(self) -> None:
-        if self._stop is not None:
-            self._stop.set()
-            self._stop = None
-        try:
-            self.path.unlink()
-        except OSError:
-            pass
+        self._lease.release()
         telemetry.count("lock.released")
 
     def __enter__(self) -> "FileLock":

@@ -26,14 +26,14 @@ Registered points (see ``docs/robustness.md``):
 ``csv.read_chunk``  chunked reader (streamed and buffered loads), before
                   each chunk read (ctx: ``source``, ``index``)
 ``model.load``    :func:`core.persistence.load_model`
-``worker.run``    benchmark worker, before its experiment (ctx:
-                  ``experiment``, ``attempt``, ``pid``)
-``queue.claim``   work queue, before the O_EXCL lease create (ctx:
+``worker.run``    benchmark worker, before its task (ctx:
+                  ``experiment``, ``shard``, ``attempt``, ``pid``)
+``queue.claim``   work queue, before the exclusive lease create (ctx:
                   ``task``, ``attempt``, ``owner``)
 ``queue.steal``   work queue, before stealing a stale lease (ctx:
                   ``task``, ``attempt``, ``owner``)
-``queue.release`` work queue, before a lease is released (ctx: ``task``,
-                  ``attempt``, ``completed``, ``owner``)
+``queue.release`` work queue, before a terminal task's lease is released
+                  (ctx: ``task``, ``attempt``, ``owner``)
 ``serve.accept``  HTTP POST handler (an injected error answers 503)
 ``serve.respond`` HTTP response writer (an injected error drops the
                   connection mid-response)

@@ -84,8 +84,8 @@ def test_cli_without_obs_flags_keeps_telemetry_disabled(capsys, tmp_path):
 
 def test_jobs2_worker_spans_merge_under_one_trace(tmp_path, capsys):
     """Forked --jobs workers inherit the run's trace context; their spans
-    come back over the result pipe and land in the manifest and the
-    --trace-out export under a single trace_id."""
+    land in per-task files the parent ingests, so the manifest and the
+    --trace-out export hold them under a single trace_id."""
     manifest_path = tmp_path / "run.json"
     trace_path = tmp_path / "spans.jsonl"
     try:
@@ -110,7 +110,7 @@ def test_jobs2_worker_spans_merge_under_one_trace(tmp_path, capsys):
     from repro.obs.export import read_jsonl
 
     records = list(read_jsonl(trace_path))
-    tasks = [r for r in records if r["name"] == "parallel.task"]
+    tasks = [r for r in records if r["name"] == "queue.task"]
     assert {r["attrs"]["experiment"] for r in tasks} == {"table18", "labeling"}
     # Every span that carries a trace id carries the run's: both forked
     # workers joined the parent's trace instead of starting their own.
@@ -118,7 +118,7 @@ def test_jobs2_worker_spans_merge_under_one_trace(tmp_path, capsys):
     assert traced
     assert {r["trace_id"] for r in traced} == {trace_id}
 
-    # Per-worker JSONL exports (crash-surviving) landed next to --trace-out
+    # Per-task JSONL exports (crash-surviving) landed next to --trace-out
     # and hold the same trace.
     worker_dir = tmp_path / "spans.jsonl.workers"
     worker_files = sorted(worker_dir.glob("*.jsonl"))

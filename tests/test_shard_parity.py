@@ -9,9 +9,9 @@ side of that contract:
 
 * shard/merge round-trips of the real heavy experiments equal their
   serial entry points, with the merge insensitive to payload order;
-* the forked engine assembles sharded experiments into records identical
-  to serial execution, interleaved with monolithic experiments in
-  canonical order;
+* the ``--jobs`` driver's queue workers assemble sharded experiments into
+  records identical to serial execution, interleaved with monolithic
+  experiments in canonical order;
 * per-shard checkpoint records carry their parent experiment name, a
   resumed partial run replays identically, and records that land under
   the wrong experiment are discarded, not grafted.
@@ -197,7 +197,7 @@ class TestShardMergeParity:
 
 
 # ---------------------------------------------------------------------------
-# The forked engine: sharded == serial, any --jobs, canonical order
+# The --jobs driver: sharded == serial, any --jobs, canonical order
 # ---------------------------------------------------------------------------
 
 
@@ -214,7 +214,7 @@ class TestEngineShardParity:
         assert records[0]["output"] == fake_heavy_serial()
         assert records[0]["sharded"] is True
         assert records[0]["n_shards"] == len(FAKE_SHARDS)
-        assert counter("parallel.shards_completed") == len(FAKE_SHARDS)
+        assert counter("queue.completed") == len(FAKE_SHARDS)
 
     @needs_fork
     def test_mixed_monolithic_and_sharded_keep_canonical_order(
@@ -226,19 +226,6 @@ class TestEngineShardParity:
         assert records[0]["output"] == "mono-output"
         assert "sharded" not in records[0]
         assert records[1]["output"] == fake_heavy_serial()
-
-    @needs_fork
-    def test_no_shard_heavy_runs_monolithically(self, fake_shardable):
-        records = list(
-            run_parallel(
-                ["fake_mono", "fake_heavy"], None, jobs=2, warm=False,
-                shard_heavy=False,
-            )
-        )
-        by_name = {r["name"]: r for r in records}
-        assert by_name["fake_heavy"]["output"] == fake_heavy_serial()
-        assert "sharded" not in by_name["fake_heavy"]
-        assert counter("parallel.shards_completed") == 0
 
     @needs_fork
     def test_real_tuning_through_engine_equals_serial(self, shard_context):
@@ -375,7 +362,7 @@ class TestShardCheckpoints:
         assert resumed["output"] == full["output"] == fake_heavy_serial()
         assert resumed["resumed_shards"] == 2
         # only the two missing cells were recomputed
-        assert counter("parallel.shards_completed") == len(FAKE_SHARDS) + 2
+        assert counter("queue.completed") == len(FAKE_SHARDS) + 2
 
     @needs_fork
     def test_fully_checkpointed_run_resumes_without_workers(
@@ -395,4 +382,4 @@ class TestShardCheckpoints:
         )
         assert records[0]["output"] == fake_heavy_serial()
         assert records[0]["resumed_shards"] == len(FAKE_SHARDS)
-        assert counter("parallel.shards_completed") == 0
+        assert counter("queue.completed") == 0
