@@ -338,7 +338,9 @@ def _scan_slice(
         token_id -= 1
         np.maximum(token_id, 0, out=token_id)  # leading-whitespace chars
         pos = np.arange(total_chars, dtype=np.int64) - token_starts[token_id]
-        np.minimum(pos, 7, out=pos)
+        # whitespace before the first token gets a negative position; its
+        # digit is 0 and it lies outside every token's segment anyway
+        np.clip(pos, 0, 7, out=pos)
         token_hash = np.add.reduceat(dig * _POW33[pos], token_starts)
         stop_hashes = luts["stop_hashes"]
         loc = np.searchsorted(stop_hashes, token_hash)

@@ -320,6 +320,12 @@ class TestBoundedScan:
         if budget == 40:
             assert 1 in sizes  # "w" * 50 exceeds the budget: its own slice
 
+    def test_long_whitespace_before_the_first_token(self):
+        values = ["    ", "     ", "the"]  # 9 spaces precede "the"
+        counts, _ = _scan(values)
+        reference = [_scan([value])[0][:, 0] for value in values]
+        assert counts.T.tolist() == [col.tolist() for col in reference]
+
     @given(
         values=st.lists(value_strategy, max_size=40),
         budget=st.integers(min_value=1, max_value=60),
