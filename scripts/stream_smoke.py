@@ -13,8 +13,7 @@ so a transient that grows with the file's characters fails the run.
 
 Every generated column keeps its distinct-value count under the sketch's
 distinct cap, so the streamed statistics are exactly the batch kernel's
-(up to the documented ulp-level mean/std delta) and the prediction
-comparison is strict.
+and the prediction comparison is strict.
 
 CI runs this at ~1M rows (``--rows 1000000 --ceiling-mb 512
 --buffered-ceiling-mb 1024``; ``.github/workflows/ci.yml`` explains the

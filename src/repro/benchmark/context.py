@@ -50,7 +50,6 @@ class BenchmarkContext:
         cnn_dtype: str = "float64",
         knn_name_cap: int | None = None,
         cache: "ArtifactCache | None" = None,
-        stream: bool = False,
     ):
         self.n_examples = n_examples
         self.seed = seed
@@ -59,7 +58,6 @@ class BenchmarkContext:
         self.cnn_dtype = cnn_dtype
         self.knn_name_cap = knn_name_cap
         self.cache = cache
-        self.stream = stream
         set_active_cache(cache)
         self._corpus: LabeledCorpus | None = None
         self._split: tuple[LabeledDataset, LabeledDataset] | None = None
@@ -69,12 +67,7 @@ class BenchmarkContext:
 
     def _data_params(self) -> dict:
         """The code-relevant parameters addressing corpus/split artifacts."""
-        params = {"n_examples": self.n_examples, "seed": self.seed}
-        if self.stream:
-            # Only present when set, so existing cached artifacts keep
-            # their addresses for the (default) batch-featurized corpus.
-            params["stream"] = True
-        return params
+        return {"n_examples": self.n_examples, "seed": self.seed}
 
     # -- data ------------------------------------------------------------------
     @property
@@ -85,7 +78,6 @@ class BenchmarkContext:
             ):
                 build = lambda: generate_corpus(  # noqa: E731
                     n_examples=self.n_examples, seed=self.seed,
-                    stream=self.stream,
                 )
                 if self.cache is not None:
                     self._corpus = self.cache.fetch(

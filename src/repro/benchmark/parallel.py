@@ -26,7 +26,8 @@ output, fencing and crash recovery have one implementation:
   claim records a terminal failure (``worker died … (after N attempts)``)
   and the experiment's unstarted tasks are cancelled.  A replacement worker
   is forked while tasks remain.  An exception raised inside a task is
-  deterministic: it fails the task at once, without a retry.
+  deterministic: it fails the task at once, without a retry.  A worker
+  whose driver dies finishes its task and stops claiming.
 
 A run without ``resume`` owns its run dir: it replaces the spec, forgets
 its own experiments' records, failures and leases (other experiments'
@@ -229,13 +230,14 @@ def _ingest_spans(queue: WorkQueue, trace_dir: str | None,
 
 
 def _work(run_dir, owner: str, context, max_restarts: int,
-          trace_dir: str | None, names: list[str]) -> None:
-    """Forked worker entry point: one QueueWorker over this run's tasks."""
+          trace_dir: str | None, names: list[str], parent_pid: int) -> None:
+    """Forked worker entry point: one QueueWorker over this run's tasks,
+    which stops claiming once the driver ``parent_pid`` is gone."""
     telemetry.metrics.reset()  # the summary reports this worker's counts
     queue = WorkQueue(run_dir, owner=owner, max_restarts=max_restarts)
     sys.exit(QueueWorker(
         queue, context, poll_s=_POLL_S, trace_dir=trace_dir,
-        experiments=names,
+        experiments=names, parent_pid=parent_pid,
     ).run())
 
 
@@ -269,7 +271,8 @@ class _Fleet:
         process = mp.get_context("fork").Process(
             target=_work,
             args=(self.queue.run_dir, owner, self.context,
-                  self.queue.max_restarts, self.trace_dir, self.names),
+                  self.queue.max_restarts, self.trace_dir, self.names,
+                  os.getpid()),
             name=f"repro-bench-worker-{self.forks}",
         )
         process.start()

@@ -575,7 +575,10 @@ class QueueWorker:
     """One queue peer: claim → run → record (fenced) → release.
 
     It works on the run spec's experiments, or only on ``experiments``
-    when given (a ``--jobs`` driver joining a larger run).  With
+    when given (a ``--jobs`` driver joining a larger run).  A worker a
+    ``--jobs`` driver forked gets the driver's pid as ``parent_pid``; it
+    stops claiming once its parent pid changes (the driver died and the
+    worker was reparented), after finishing the task it holds.  With
     ``trace_dir``, each task's spans are written to
     ``<trace_dir>/<task-stem>.a<attempt>.jsonl`` before its result is
     recorded, so a process that sees the record can ingest the spans.
@@ -590,6 +593,7 @@ class QueueWorker:
         max_tasks: int | None = None,
         trace_dir: str | None = None,
         experiments: Iterable[str] | None = None,
+        parent_pid: int | None = None,
     ):
         self.queue = queue
         self.context = context
@@ -597,6 +601,7 @@ class QueueWorker:
         self.max_tasks = max_tasks
         self.trace_dir = trace_dir
         self.experiments = None if experiments is None else list(experiments)
+        self.parent_pid = parent_pid
         self.summary = {
             "schema": SCHEMA,
             "owner": queue.owner,
@@ -714,6 +719,12 @@ class QueueWorker:
             if not outstanding:
                 break
             if self.max_tasks is not None and done >= self.max_tasks:
+                break
+            if (self.parent_pid is not None
+                    and os.getppid() != self.parent_pid):
+                telemetry.warning(
+                    "queue.parent_gone", parent_pid=self.parent_pid
+                )
                 break
             claimed = None
             for task in outstanding:

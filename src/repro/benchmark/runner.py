@@ -301,13 +301,6 @@ def _goldens_main(argv: list[str]) -> int:
         help="route the k-NN name distance through the banded kernel "
              "with this cap (default: exact kernel)",
     )
-    parser.add_argument(
-        "--stream", action="store_true",
-        help="featurize the corpus through the repro.sketch streaming "
-             "kernel; check drift against goldens recorded from the batch "
-             "kernel (use with the default non-strict similarity floor: "
-             "mean/std carry a documented ulp-level delta)",
-    )
     args = parser.parse_args(argv)
 
     models = None
@@ -319,7 +312,6 @@ def _goldens_main(argv: list[str]) -> int:
     context = BenchmarkContext(
         n_examples=args.scale, seed=args.seed, cache=cache,
         cnn_dtype=args.cnn_dtype, knn_name_cap=args.knn_name_cap,
-        stream=args.stream,
     )
 
     if args.action == "record":

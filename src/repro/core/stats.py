@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from repro.core.moments import ExactMoments
 from repro.obs import telemetry
 from repro.tabular.column import Column
 from repro.tabular.dtypes import (
@@ -126,7 +127,12 @@ _FLOAT_CAP = 1e18  # larger magnitudes are clamped (squares overflow float64)
 
 
 def _finite(value) -> float:
-    """Clamp to a finite, capped float (guards against 1e300-scale outliers)."""
+    """Clamp to a finite, capped float (guards against 1e300-scale outliers).
+
+    -0.0 reads 0.0: the min of a column holding both "0" and "-0" is
+    whichever zero arrived first, which would make its sign depend on the
+    chunking.
+    """
     value = float(value)
     if not math.isfinite(value):
         return 0.0
@@ -134,26 +140,7 @@ def _finite(value) -> float:
         return _FLOAT_CAP
     if value < -_FLOAT_CAP:
         return -_FLOAT_CAP
-    return value
-
-
-def _moments(counts: list[float]) -> tuple[float, float]:
-    if not counts:
-        return 0.0, 0.0
-    arr = np.asarray(counts, dtype=float)
-    return float(arr.mean()), float(arr.std())
-
-
-def _word_count(text: str) -> int:
-    return len(text.split())
-
-
-def _stopword_count(text: str) -> int:
-    return sum(1 for token in text.lower().split() if token in STOPWORDS)
-
-
-def _whitespace_count(text: str) -> int:
-    return sum(1 for ch in text if ch.isspace())
+    return value + 0.0
 
 
 def _delimiter_count(text: str) -> int:
@@ -537,33 +524,44 @@ class StatsScanCache:
 class ColumnTally(NamedTuple):
     """Frequency-weighted summary of a batch of encoded columns.
 
-    One entry per distinct (column, value) pair in ``column``/``code``/
-    ``freq``, plus the exact per-column sums and sums of squares of the
-    five shape counts, each of shape (5, n_columns).
+    ``code`` holds the value code of every distinct (column, value) pair;
+    per column, ``n_distinct`` counts its distinct values, ``sums`` and
+    ``sumsq`` (each of shape (5, n_columns)) are the exact sums and sums of
+    squares of the five shape counts, and ``moments`` its exact numeric
+    moments.
     """
 
-    column: np.ndarray
     code: np.ndarray
-    freq: np.ndarray
+    n_distinct: np.ndarray
     sums: np.ndarray
     sumsq: np.ndarray
+    moments: list[ExactMoments]
 
 
 def tally_columns(
-    codes: np.ndarray, n_present: np.ndarray, counts: np.ndarray
+    codes: np.ndarray,
+    n_present: np.ndarray,
+    counts: np.ndarray,
+    parsed: np.ndarray,
 ) -> ColumnTally:
     """Tally the value codes of a batch of columns against their scan rows.
 
+    This is the accumulate step of both stats engines:
+    :func:`compute_stats_batch` tallies a batch of whole columns, and
+    :meth:`repro.sketch.ColumnSketch.update` tallies one chunk of one
+    column and adds the result to its running totals.
+
     ``codes`` holds the code of every present cell, column after column,
-    with ``n_present[i]`` cells for column ``i``; ``counts`` is the
-    (5, n_values) scan matrix the codes index.  One ``np.unique`` over
-    (column, code) keys gives every column's distinct values with their
-    frequencies, and one ``np.bincount`` per sum folds the frequency-weighted
-    counts into per-column totals.  Every term is an exact integer in
-    float64 (counts are small integers, column totals far below 2**53), so
-    the sums are exact in any order: a column tallied whole and one tallied
-    chunk by chunk (:meth:`repro.sketch.ColumnSketch.update`) agree bit for
-    bit.
+    with ``n_present[i]`` cells for column ``i``; ``counts`` (5, n_values)
+    and ``parsed`` (n_values,) are the scan rows the codes index.  One
+    ``np.unique`` over (column, code) keys gives every column's distinct
+    values with their frequencies.  One ``np.bincount`` per sum folds the
+    frequency-weighted shape counts into per-column totals; every term is
+    an exact integer in float64 (counts are small integers, column totals
+    far below 2**53), so the sums are exact in any order.  The numeric
+    distinct values go into each column's :class:`ExactMoments`, weighted
+    by their frequencies, which is exact too.  A column tallied whole and
+    one tallied chunk by chunk therefore agree bit for bit.
     """
     n_cols = len(n_present)
     stride = int(codes.max()) + 1 if codes.size else 1
@@ -571,6 +569,8 @@ def tally_columns(
     keys += codes
     keys, freq = np.unique(keys, return_counts=True)
     column, code = np.divmod(keys, stride)
+    # before the shape sums, whose row-sized temporaries live until return
+    moments = _numeric_moments(column, code, freq, parsed, n_cols)
     weights = freq.astype(float)
     sums = np.empty((5, n_cols))
     sumsq = np.empty((5, n_cols))
@@ -580,7 +580,77 @@ def tally_columns(
         sums[j] = np.bincount(column, weights=weighted, minlength=n_cols)
         weighted *= row
         sumsq[j] = np.bincount(column, weights=weighted, minlength=n_cols)
-    return ColumnTally(column, code, freq, sums, sumsq)
+    n_distinct = np.bincount(column, minlength=n_cols)
+    return ColumnTally(code, n_distinct, sums, sumsq, moments)
+
+
+def _numeric_moments(
+    column: np.ndarray, code: np.ndarray, freq: np.ndarray,
+    parsed: np.ndarray, n_cols: int,
+) -> list[ExactMoments]:
+    """Each column's exact moments over its numeric distinct values,
+    weighted by their frequencies (tally entries are sorted by column)."""
+    numeric = np.flatnonzero(~np.isnan(parsed[code]))
+    column_starts = np.searchsorted(column, np.arange(n_cols + 1))
+    bounds = np.searchsorted(numeric, column_starts).tolist()
+    values, weights = parsed[code[numeric]], freq[numeric]
+    moments = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        accumulator = ExactMoments()
+        accumulator.add_many(values[lo:hi], weights[lo:hi])
+        moments.append(accumulator)
+    return moments
+
+
+def finalize_stats(
+    total: int,
+    n_present: int,
+    n_distinct: int,
+    sums,
+    sumsq,
+    moments: ExactMoments,
+    samples: list[str],
+    probe_cache: dict[str, tuple[bool, bool, bool, bool, bool]],
+) -> DescriptiveStats:
+    """The finalize step of both stats engines: one column's 25 stats.
+
+    ``total`` cells, ``n_present`` of them present, ``n_distinct``
+    distinct; ``sums``/``sumsq`` are the five shape counts' exact sums and
+    sums of squares over the present cells, ``moments`` the exact moments
+    of the numeric ones, and the five probes run over ``samples``
+    (memoized in ``probe_cache``).  Equal inputs give equal bits, however
+    the column was accumulated.
+    """
+    mean_value = std_value = min_value = max_value = 0.0
+    numeric_fraction = 0.0
+    shape = [0.0] * 10  # word/stop/char/ws/delim: (mean, std) pairs
+    if n_present:
+        for j in range(5):
+            mean = float(sums[j]) / n_present
+            variance = float(sumsq[j]) / n_present - mean * mean
+            shape[2 * j] = mean
+            shape[2 * j + 1] = math.sqrt(max(variance, 0.0))
+        if moments.count:
+            mean, std = moments.mean_std()
+            mean_value, std_value = _finite(mean), _finite(std)
+            min_value, max_value = _finite(moments.min), _finite(moments.max)
+        numeric_fraction = moments.count / n_present
+    total_f = float(total)
+    n_missing = float(total - n_present)
+    return DescriptiveStats(np.array([
+        total_f,
+        n_missing,
+        n_missing / total_f if total else 0.0,
+        float(n_distinct),
+        n_distinct / total_f if total else 0.0,
+        mean_value,
+        std_value,
+        min_value,
+        max_value,
+        *shape,
+        numeric_fraction,
+        *_probe_samples(samples, probe_cache),
+    ]))
 
 
 def compute_stats_batch(
@@ -595,18 +665,19 @@ def compute_stats_batch(
     columns — category levels, small integers — are scanned once) and
     encoded as one array of codes, the distinct values go through the
     sliced LUT/segment kernel in :func:`_scan_distinct`, and
-    :func:`tally_columns` recovers every column's distinct count and shape
-    count moments from exact frequency-weighted sums over its distinct
-    values.  The numeric mean/std run per column over the parsed cells, so
-    they round exactly as ``numpy`` does on the column.  Sample probes are
-    memoized.  With a ``scan_cache``, interning and scan results persist
-    across calls so a whole corpus pays each distinct value once.
+    :func:`tally_columns` recovers every column's distinct count, shape
+    count sums and exact numeric moments from its frequency-weighted
+    distinct values.  :func:`finalize_stats` turns each column's tally into
+    its stats.  Sample probes are memoized.  With a ``scan_cache``,
+    interning and scan results persist across calls so a whole corpus pays
+    each distinct value once.
 
     Memory beyond the columns themselves is the interner, the scan rows of
     the distinct values, one scan slice, and a few machine words per
-    present cell (its code, its tally key and its parsed value); nothing
-    scales with the number of characters.  Results are identical to calling
-    :func:`compute_stats` per column.
+    present cell (its code and its tally key); nothing scales with the
+    number of characters.  The result is the one a
+    :class:`~repro.sketch.ColumnSketch` fed the same cells in any chunking
+    finalizes to.
     """
     if samples_list is None:
         samples_list = [None] * len(columns)
@@ -639,47 +710,19 @@ def compute_stats_batch(
         telemetry.count("stats.cells", int(totals.sum()))
 
     cache.scan_novel()
-    tally = tally_columns(code_arr, n_present, cache.counts)
+    tally = tally_columns(code_arr, n_present, cache.counts, cache.parsed)
     cache.mark_hits(tally.code)
-    parsed_flat = cache.parsed[code_arr]
+    distincts = tally.n_distinct.tolist()
+    sums, sumsq = tally.sums.T.tolist(), tally.sumsq.T.tolist()
 
-    matrix = np.zeros((n_cols, N_STATS))
-    matrix[:, 0] = totals
-    matrix[:, 1] = totals - n_present
-    distincts = np.bincount(tally.column, minlength=n_cols).astype(float)
-    matrix[:, 3] = distincts
-    sized = totals > 0
-    matrix[sized, 2] = matrix[sized, 1] / matrix[sized, 0]
-    matrix[sized, 4] = distincts[sized] / matrix[sized, 0]
-    nonempty = np.flatnonzero(n_present)
-    if nonempty.size:
-        seg_n = n_present[nonempty].astype(float)
-        seg_means = tally.sums[:, nonempty] / seg_n
-        variances = np.maximum(
-            tally.sumsq[:, nonempty] / seg_n - seg_means * seg_means, 0.0
-        )
-        matrix[nonempty, 9:19:2] = seg_means.T  # word/stop/char/ws/delim
-        matrix[nonempty, 10:20:2] = np.sqrt(variances).T
-
-    probe_cache = cache.probe_cache
     out: list[DescriptiveStats] = []
     for i, (column, samples) in enumerate(zip(columns, samples_list)):
-        row = matrix[i]
-        npres = int(n_present[i])
-        if npres:
-            chunk = parsed_flat[starts[i] : ends[i]]
-            numeric = chunk[~np.isnan(chunk)]
-            if numeric.size:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    row[5] = _finite(numeric.mean())
-                    row[6] = _finite(numeric.std())
-                row[7] = _finite(numeric.min())
-                row[8] = _finite(numeric.max())
-            row[19] = numeric.size / npres
         if samples is None:
             samples = column.head_distinct(5)
-        row[20:25] = _probe_samples(samples, probe_cache)
-        out.append(DescriptiveStats(row))
+        out.append(finalize_stats(
+            int(totals[i]), int(n_present[i]), distincts[i], sums[i],
+            sumsq[i], tally.moments[i], samples, cache.probe_cache,
+        ))
     cache.end_batch()
     return out
 

@@ -4,7 +4,10 @@ Substitutes the paper's ML Data Prep Zoo dataset (9,921 hand-labeled columns
 from 1,240 raw CSV files).  The generator emits raw files (Tables) whose
 columns are drawn from the nine class generators with the paper's class
 distribution (Section 2.5), then base-featurizes every column into a
-:class:`~repro.core.featurize.LabeledDataset`.
+:class:`~repro.core.featurize.LabeledDataset` through
+:func:`~repro.core.featurize.profile_columns`, the same stats engine
+``repro-infer`` and ``repro-serve`` run (buffered or streamed, the stats
+are bit-identical).
 """
 
 from __future__ import annotations
@@ -13,17 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.featurize import (
-    _KERNEL_ERRORS,
-    N_SAMPLE_VALUES,
-    ColumnProfile,
-    LabeledDataset,
-    ProfileError,
-    profile_columns,
-)
+from repro.core.featurize import LabeledDataset, profile_columns
 from repro.core.stats import StatsScanCache
 from repro.datagen.values import generate_column
-from repro.obs import telemetry
 from repro.tabular.column import Column
 from repro.tabular.table import Table
 from repro.types import ALL_FEATURE_TYPES, PAPER_CLASS_DISTRIBUTION, FeatureType
@@ -76,58 +71,6 @@ def sample_class_sequence(
     return labels
 
 
-def _profile_columns_streamed(
-    columns: list[Column],
-    source_file: str,
-    labels: list[FeatureType],
-    rng: np.random.Generator,
-    scan_cache: StatsScanCache,
-    chunk_rows: int = 2048,
-) -> list[ColumnProfile]:
-    """Streamed (``repro.sketch``) counterpart of :func:`profile_columns`.
-
-    Sample values are drawn per column in table order first, so the rng
-    stream is identical to the batch path; cells then feed per-column
-    sketches chunk by chunk.  The profiles differ from the batch kernel's
-    only by the documented float-reassociation delta on
-    ``mean_value``/``std_value``.
-    """
-    from repro.sketch.column import ColumnSketch
-
-    samples_list: list[list[str]] = []
-    for column in columns:
-        with telemetry.span("featurize.column", column=column.name):
-            samples_list.append(column.sample_distinct(N_SAMPLE_VALUES, rng))
-    profiles: list[ColumnProfile] = []
-    for column, samples, label in zip(columns, samples_list, labels):
-        sketch = ColumnSketch(column.name)
-        cells = column.cells
-        try:
-            for start in range(0, len(cells), chunk_rows):
-                sketch.update(
-                    cells[start:start + chunk_rows], scan_cache=scan_cache
-                )
-            stats = sketch.finalize(
-                samples=samples, probe_cache=scan_cache.probe_cache
-            )
-        except _KERNEL_ERRORS as exc:
-            raise ProfileError(
-                f"cannot featurize column {column.name!r} of "
-                f"{source_file!r}: {type(exc).__name__}: {exc}"
-            ) from exc
-        profiles.append(
-            ColumnProfile(
-                name=column.name,
-                samples=samples,
-                stats=stats,
-                source_file=source_file,
-                label=label,
-            )
-        )
-    telemetry.count("featurize.columns", len(profiles))
-    return profiles
-
-
 def generate_corpus(
     n_examples: int = 2500,
     seed: int = 0,
@@ -135,7 +78,6 @@ def generate_corpus(
     max_rows: int = 200,
     min_cols: int = 4,
     max_cols: int = 12,
-    stream: bool = False,
 ) -> LabeledCorpus:
     """Generate a labeled corpus of raw files.
 
@@ -143,12 +85,6 @@ def generate_corpus(
     default is laptop-friendly).  Columns are grouped into files of
     ``min_cols..max_cols`` columns sharing a row count, mirroring how the
     paper's examples come from whole CSV files.
-
-    ``stream=True`` featurizes through the :mod:`repro.sketch` streaming
-    kernel instead of ``compute_stats_batch`` — same samples (identical rng
-    stream), same stats up to the documented ulp-level
-    ``mean_value``/``std_value`` delta.  Used by the streamed goldens check
-    to pin the parity of the two paths end to end.
     """
     if n_examples < 50:
         raise ValueError("corpus needs at least 50 examples to cover 9 classes")
@@ -176,22 +112,13 @@ def generate_corpus(
             corpus.truth[(file_name, name)] = label
         table = Table(columns, name=file_name)
         corpus.files.append(table)
-        if stream:
-            file_profiles = _profile_columns_streamed(
-                list(table),
-                source_file=file_name,
-                labels=list(labels[cursor : cursor + n_cols]),
-                rng=rng,
-                scan_cache=scan_cache,
-            )
-        else:
-            file_profiles = profile_columns(
-                list(table),
-                source_file=file_name,
-                labels=list(labels[cursor : cursor + n_cols]),
-                rng=rng,
-                scan_cache=scan_cache,
-            )
+        file_profiles = profile_columns(
+            list(table),
+            source_file=file_name,
+            labels=list(labels[cursor : cursor + n_cols]),
+            rng=rng,
+            scan_cache=scan_cache,
+        )
         corpus.dataset.profiles.extend(file_profiles)
         cursor += n_cols
         file_index += 1

@@ -3,16 +3,19 @@ per-column sketches.
 
 The paper's base featurization (Section 2.3: counts, numeric moments,
 distinct values, five sample values per column) is entirely one-pass
-computable.  This package computes it without materializing the column:
+computable.  This package computes it without materializing the column,
+with the batch kernel's own accumulate and finalize steps
+(:func:`~repro.core.stats.tally_columns`,
+:func:`~repro.core.stats.finalize_stats`):
 
-* :class:`~repro.sketch.accumulator.ExactMoments` — order-independent
-  exact sum / sum-of-squares / min / max of float64 values.
+* :class:`~repro.core.moments.ExactMoments` — order-independent exact
+  sum / sum-of-squares / min / max of float64 values (re-exported here).
 * :class:`~repro.sketch.column.ColumnSketch` — accumulates the 25
   descriptive statistics incrementally via ``update(cells)``, merges
   order-independently via ``merge(other)``, and ``finalize()``-s to a
-  :class:`~repro.core.stats.DescriptiveStats` matching
-  ``compute_stats_batch`` (bit-identical except the documented
-  float-reassociation delta on ``mean_value``/``std_value``).
+  :class:`~repro.core.stats.DescriptiveStats` bit-identical to
+  ``compute_stats_batch`` on the same rows (``num_distinct`` and
+  ``pct_distinct`` only until the distinct cap spills).
 * :class:`~repro.sketch.profiler.StreamingProfiler` /
   :func:`~repro.sketch.profiler.profile_csv_stream` — drive sketches over
   :func:`~repro.tabular.csv_io.iter_csv_chunks` to
@@ -24,7 +27,7 @@ hosts: shard sketches of the same column combine with ``merge`` in any
 order.
 """
 
-from repro.sketch.accumulator import ExactMoments
+from repro.core.moments import ExactMoments
 from repro.sketch.column import (
     DEFAULT_DISTINCT_CAP,
     ColumnSketch,

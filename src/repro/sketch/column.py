@@ -1,29 +1,23 @@
 """A mergeable, bounded-memory sketch of one column's 25 descriptive stats.
 
-:class:`ColumnSketch` is the streaming counterpart of
-:func:`repro.core.stats.compute_stats_batch`: cells arrive in chunks
-through :meth:`ColumnSketch.update`, shard sketches combine through
+:class:`ColumnSketch` is the streaming form of
+:func:`repro.core.stats.compute_stats_batch`, built from the same two
+steps: each chunk that arrives through :meth:`ColumnSketch.update` is
+tallied by :func:`~repro.core.stats.tally_columns` and added to the
+sketch's running totals, shard sketches combine through
 :meth:`ColumnSketch.merge` (order-independently), and
-:meth:`ColumnSketch.finalize` emits a
-:class:`~repro.core.stats.DescriptiveStats`.
+:meth:`ColumnSketch.finalize` hands the totals to
+:func:`~repro.core.stats.finalize_stats`.
 
-Parity contract (asserted in ``tests/test_sketch.py``):
-
-* 23 of the 25 statistics are **bit-identical** to the batch kernel on the
-  same rows: all count/percentage stats, the five shape-count mean/std
-  pairs (both kernels take them from the same exact integer sums,
-  :func:`~repro.core.stats.tally_columns`),
-  ``min_value``/``max_value``, ``numeric_fraction``, and the five boolean
-  sample probes.
-* ``mean_value``/``std_value`` carry the documented float-reassociation
-  delta: the sketch accumulates the *exact* moments
-  (:class:`~repro.sketch.accumulator.ExactMoments`) and rounds once, while
-  numpy's pairwise summation rounds in element order.  The difference is
-  numpy's own summation error — ulp-level for well-conditioned data.
-* ``num_distinct`` is exact until ``distinct_cap`` values have been seen;
-  past the cap the sketch spills (drops the value set, reports exactly the
-  cap) and raises the ``distinct_overflowed`` flag.  Spilling is a sticky
-  state, so merge stays order-independent.
+Parity contract (asserted in ``tests/test_sketch.py``): all 25 statistics
+are **bit-identical** to the batch kernel on the same rows, however the
+rows are chunked or merged.  Every total is exact: integer shape-count
+sums, and the numeric moments as :class:`~repro.core.moments.ExactMoments`.
+The one exception is ``num_distinct`` (and ``pct_distinct``), which is
+exact until ``distinct_cap`` values have been seen; past the cap the
+sketch spills (drops the value set, reports exactly the cap) and raises
+the ``distinct_overflowed`` flag.  Spilling is a sticky state, so merge
+stays order-independent.
 
 Bounded state: the distinct-value dict is capped, sample candidates are
 capped at ``sample_k``, and the moment accumulators are O(1).  The
@@ -35,23 +29,18 @@ the end of every :meth:`ColumnSketch.update`.
 
 from __future__ import annotations
 
-import hashlib
-import math
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.moments import ExactMoments
 from repro.core.stats import (
-    N_STATS,
     DescriptiveStats,
     StatsScanCache,
-    _finite,
-    _probe_samples,
+    finalize_stats,
     tally_columns,
 )
 from repro.obs import telemetry
-from repro.sketch.accumulator import ExactMoments
 from repro.tabular.dtypes import is_missing
 
 #: Distinct values tracked per column before the sketch spills.  Sized so
@@ -67,37 +56,19 @@ N_SAMPLE_VALUES = 5
 class SketchConfig:
     """Shared knobs of a sketch family; merging requires equal configs.
 
-    ``sample_mode`` picks how the five sample values are drawn:
-
-    * ``"head"`` — the first ``sample_k`` distinct values in global cell
-      order, matching ``Column.head_distinct`` (and therefore the batch
-      profiler's deterministic default) exactly, even across merges.
-    * ``"reservoir"`` — a seeded bottom-k hash sample over the distinct
-      values: each distinct value's ``blake2b(seed || value)`` digest is
-      computed once and the ``sample_k`` smallest digests win.  The result
-      depends only on the *set* of distinct values, so it is
-      order-independent and mergeable, and stays unbiased past the
-      distinct cap.
+    The ``sample_k`` sample values are the first distinct values in global
+    cell order, matching ``Column.head_distinct`` (and therefore the batch
+    profiler's deterministic default) exactly, even across merges.
     """
 
     distinct_cap: int = DEFAULT_DISTINCT_CAP
-    sample_mode: str = "head"
     sample_k: int = N_SAMPLE_VALUES
-    seed: int = 0
 
     def __post_init__(self):
-        if self.sample_mode not in ("head", "reservoir"):
-            raise ValueError(f"unknown sample_mode: {self.sample_mode!r}")
         if self.distinct_cap < 1:
             raise ValueError("distinct_cap must be positive")
         if self.sample_k < 0:
             raise ValueError("sample_k must be >= 0")
-
-
-def _sample_digest(seed: int, value: str) -> bytes:
-    """Deterministic per-value digest driving the bottom-k reservoir."""
-    payload = f"{seed}:".encode("ascii") + value.encode("utf-8", "surrogatepass")
-    return hashlib.blake2b(payload, digest_size=8).digest()
 
 
 class ColumnSketch:
@@ -123,9 +94,6 @@ class ColumnSketch:
         #: seen (``_head_open``) every distinct value is a candidate.
         self._head: dict[str, int] = {}
         self._head_open = self.config.sample_k > 0
-        #: bottom-k reservoir: sorted (digest, value) pairs, k smallest.
-        self._reservoir: list[tuple[bytes, str]] = []
-        self._reservoir_members: set[str] = set()
 
     # -- accumulation --------------------------------------------------------
     def update(
@@ -186,24 +154,17 @@ class ColumnSketch:
             map(interned, present), count=len(present), dtype=np.intp
         )
         cache.scan_novel()
-        # The batch kernel's tally with a batch of one column: exact
-        # integer sums, so chunked accumulation equals the whole column's.
+        # The batch kernel's accumulate step over a batch of one column:
+        # every total is exact, so chunked accumulation equals the whole
+        # column's.
         tally = tally_columns(
-            code_arr, np.array([len(present)]), cache.counts
+            code_arr, np.array([len(present)]), cache.counts, cache.parsed
         )
-        uniq, freq = tally.code, tally.freq
-        cache.mark_hits(uniq)
+        cache.mark_hits(tally.code)
         for j in range(5):
             self._count_sums[j] += int(tally.sums[j, 0])
             self._count_sumsqs[j] += int(tally.sumsq[j, 0])
-        parsed = cache.parsed[uniq]
-        numeric_mask = ~np.isnan(parsed)
-        if numeric_mask.any():
-            self._moments.add_many(parsed[numeric_mask], freq[numeric_mask])
-        if self.config.sample_mode == "reservoir":
-            self._update_reservoir(
-                cache.values[code] for code in uniq.tolist()
-            )
+        self._moments.merge(tally.moments[0])
         if telemetry.enabled:
             telemetry.count("sketch.cells", len(cells))
         cache.end_batch()
@@ -218,25 +179,6 @@ class ColumnSketch:
         self.distinct_overflowed = True
         self._distinct = {}
         telemetry.count("sketch.distinct_spilled")
-
-    def _update_reservoir(self, candidates) -> None:
-        k = self.config.sample_k
-        if k <= 0:
-            return
-        reservoir = self._reservoir
-        members = self._reservoir_members
-        seed = self.config.seed
-        for value in candidates:
-            if value in members:
-                continue
-            entry = (_sample_digest(seed, value), value)
-            if len(reservoir) < k:
-                insort(reservoir, entry)
-                members.add(value)
-            elif entry < reservoir[-1]:
-                members.discard(reservoir.pop()[1])
-                insort(reservoir, entry)
-                members.add(value)
 
     # -- merging -------------------------------------------------------------
     def merge(self, other: "ColumnSketch") -> "ColumnSketch":
@@ -282,8 +224,6 @@ class ColumnSketch:
             if len(self._distinct) > self.config.distinct_cap:
                 self._spill_distinct()
 
-        if self.config.sample_mode == "reservoir":
-            self._update_reservoir(value for _, value in other._reservoir)
         telemetry.count("sketch.merge")
         return self
 
@@ -310,52 +250,18 @@ class ColumnSketch:
 
     def samples(self) -> list[str]:
         """The sample values the finalize-time probes run over."""
-        if self.config.sample_mode == "reservoir":
-            return [value for _, value in self._reservoir]
         ordered = sorted(self._head.items(), key=lambda item: item[1])
         return [value for value, _ in ordered]
 
-    def finalize(
-        self,
-        samples: list[str] | None = None,
-        probe_cache: dict | None = None,
-    ) -> DescriptiveStats:
-        """The 25 descriptive statistics of everything accumulated so far.
-
-        Replays the batch kernel's finalization arithmetic operation for
-        operation (same IEEE divisions, same ``_finite`` clamps) over the
-        sketch's exact integer sums.  ``samples`` overrides the sketch's
-        own sample values (the datagen path supplies rng-drawn ones);
-        ``probe_cache`` memoizes regex probes across columns.
+    def finalize(self, probe_cache: dict | None = None) -> DescriptiveStats:
+        """The 25 descriptive statistics of everything accumulated so far,
+        from :func:`~repro.core.stats.finalize_stats`, the batch kernel's
+        own finalize step.  ``probe_cache`` memoizes regex probes across
+        columns.
         """
-        row = np.zeros(N_STATS)
-        total = self.n_total
-        n_present = self.n_present
-        row[0] = float(total)
-        row[1] = float(total - n_present)
-        row[3] = float(self.distinct_count)
-        if total:
-            row[2] = row[1] / row[0]
-            row[4] = row[3] / row[0]
-        if n_present:
-            denom = float(n_present)
-            for j in range(5):
-                mean = float(self._count_sums[j]) / denom
-                variance = float(self._count_sumsqs[j]) / denom - mean * mean
-                if variance < 0.0:
-                    variance = 0.0
-                row[9 + 2 * j] = mean
-                row[10 + 2 * j] = math.sqrt(variance)
-            n_numeric = self._moments.count
-            if n_numeric:
-                mean, std = self._moments.mean_std()
-                row[5] = _finite(mean)
-                row[6] = _finite(std)
-                row[7] = _finite(self._moments.min)
-                row[8] = _finite(self._moments.max)
-            row[19] = n_numeric / n_present
-        if samples is None:
-            samples = self.samples()
-        cache = probe_cache if probe_cache is not None else {}
-        row[20:25] = _probe_samples(samples, cache)
-        return DescriptiveStats(row)
+        return finalize_stats(
+            self.n_total, self.n_present, self.distinct_count,
+            self._count_sums, self._count_sumsqs, self._moments,
+            self.samples(),
+            probe_cache if probe_cache is not None else {},
+        )

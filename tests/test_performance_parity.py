@@ -18,6 +18,7 @@ import io
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
@@ -32,16 +33,13 @@ from repro.cache import ArtifactCache, artifact_key
 from repro.core import stats
 from repro.core.stats import (
     STAT_NAMES,
+    STOPWORDS,
     DescriptiveStats,
     StatsScanCache,
     _delimiter_count,
     _finite,
-    _moments,
     _scan_distinct,
     _scan_value,
-    _stopword_count,
-    _whitespace_count,
-    _word_count,
     compute_stats,
     compute_stats_batch,
 )
@@ -59,8 +57,43 @@ from repro.tabular.dtypes import (
 )
 
 
+def _moments(counts: list[float]) -> tuple[float, float]:
+    if not counts:
+        return 0.0, 0.0
+    arr = np.asarray(counts, dtype=float)
+    return float(arr.mean()), float(arr.std())
+
+
+def _exact_mean_std(values: list[float]) -> tuple[float, float]:
+    """Correctly rounded population mean and std, from exact rationals."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    variance = sum(f * f for f in exact) / len(exact) - mean * mean
+    try:
+        variance_float = float(variance)
+    except OverflowError:
+        variance_float = math.inf
+    return float(mean), math.sqrt(variance_float)
+
+
+def _word_count(text: str) -> int:
+    return len(text.split())
+
+
+def _stopword_count(text: str) -> int:
+    return sum(1 for token in text.lower().split() if token in STOPWORDS)
+
+
+def _whitespace_count(text: str) -> int:
+    return sum(1 for ch in text if ch.isspace())
+
+
 def reference_compute_stats(column, samples=None):
-    """The pre-vectorization per-cell algorithm, kept as the test oracle."""
+    """The pre-vectorization per-cell algorithm, kept as the test oracle.
+
+    The numeric mean/std are the correctly rounded exact moments (the
+    contract of ``repro.core.moments.ExactMoments``), not numpy's.
+    """
     present = column.non_missing()
     total = len(column)
     n_nans = column.n_missing()
@@ -71,12 +104,10 @@ def reference_compute_stats(column, samples=None):
     numeric = [try_parse_float(cell) for cell in present]
     numeric = [v for v in numeric if v is not None]
     if numeric:
-        arr = np.asarray(numeric, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean_value = _finite(arr.mean())
-            std_value = _finite(arr.std())
-        min_value = _finite(arr.min())
-        max_value = _finite(arr.max())
+        mean, std = _exact_mean_std(numeric)
+        mean_value, std_value = _finite(mean), _finite(std)
+        min_value = _finite(min(numeric))
+        max_value = _finite(max(numeric))
     else:
         mean_value = std_value = min_value = max_value = 0.0
 
@@ -136,6 +167,25 @@ class TestVectorizedStatsParity:
                 _assert_stats_close(
                     stats, reference_compute_stats(column), column.name
                 )
+
+    def test_downstream_suite_tables(self):
+        # Categorical-heavy tables (~0.3 distinct values per cell), batched
+        # a table at a time through one shared scan cache, as the
+        # downstream experiments profile them.
+        from repro.datagen.downstream import make_suite
+
+        cache = StatsScanCache()
+        n_columns = 0
+        for dataset in make_suite(seed=0):
+            columns = list(dataset.table)
+            batch = compute_stats_batch(columns, scan_cache=cache)
+            for column, stats in zip(columns, batch):
+                np.testing.assert_allclose(
+                    stats.values, reference_compute_stats(column).values,
+                    rtol=0, atol=1e-9, err_msg=column.name,
+                )
+            n_columns += len(columns)
+        assert n_columns > 100
 
     def test_handcrafted_edge_cases(self):
         columns = [
@@ -374,7 +424,7 @@ class TestBoundedScan:
             tracemalloc.stop()
         # Per distinct value: its interner entry and int code (~100 B),
         # its scan row (6 floats, 48 B) and a few machine words per cell
-        # for the codes, tally keys and parsed values (~80 B); 256 B
+        # for the codes and tally keys (~80 B); 256 B
         # leaves headroom.  Plus one scan slice, whose arrays take ~56 B
         # per character (64 B allowed).  This measures 45 MB against the
         # 68 MB bound; a scan over all characters at once adds

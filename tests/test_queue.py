@@ -17,6 +17,8 @@ workers are SIGKILLed mid-task.  Each section pins one edge:
   completion per task;
 * the ``--jobs`` driver cooperates on resumed runs (steals stale peer
   leases, adopts a live peer's result, leaves no lease debris);
+* the ``--jobs`` driver's workers stop claiming once the driver is
+  SIGKILLed;
 * the advisory cache lock excludes concurrent pruners and survives a
   dead holder.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
+import signal
 import time
 
 import pytest
@@ -755,6 +758,118 @@ class TestEngineCooperation:
         assert records[0]["resumed_shards"] == 0
         assert counter("queue.completed") == len(FAKE_SHARDS)  # recomputed
         assert checkpoint.load("fake_mono") == mono  # not this run's: kept
+
+
+# ---------------------------------------------------------------------------
+# A SIGKILLed --jobs driver
+# ---------------------------------------------------------------------------
+
+GATED_SHARDS = ("gate/a", "gate/b", "gate/c", "gate/d")
+
+
+def _wait_for(condition, timeout_s: float = 60.0) -> bool:
+    """Poll ``condition`` until it holds (True) or ``timeout_s`` passes."""
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class GatedShards(Shardable):
+    """Each shard publishes its worker's pid, then waits for a go file."""
+
+    name = "fake_gated"
+
+    def __init__(self, gate_dir):
+        self.gate_dir = gate_dir
+
+    def shard_ids(self, context):
+        return list(GATED_SHARDS)
+
+    def run_shard(self, context, shard_id):
+        path = self.gate_dir / f"{task_stem(shard_id)}.pid"
+        path.with_suffix(".tmp").write_text(str(os.getpid()))
+        os.replace(path.with_suffix(".tmp"), path)
+        assert _wait_for(lambda: (self.gate_dir / "go").exists())
+        return {"cell": shard_id}
+
+    def merge(self, context, shards):
+        return ",".join(shards[sid]["cell"] for sid in GATED_SHARDS)
+
+
+def _exited(pid: int) -> bool:
+    """Whether a process that is not our child has exited (gone, or a
+    zombie its new parent has not reaped yet)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return True
+    return state in ("Z", "X")
+
+
+def _drive_gated(run_dir) -> None:
+    """Forked child: a ``--jobs 2`` driver over the gated experiment."""
+    list(run_parallel(
+        ["fake_gated"], None, jobs=2, warm=False,
+        checkpoint=RunCheckpoint(run_dir),
+    ))
+
+
+class TestDriverDeath:
+    @needs_fork
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_workers_stop_claiming_when_the_driver_is_killed(
+        self, monkeypatch, tmp_path
+    ):
+        gate_dir = tmp_path / "gate"
+        gate_dir.mkdir()
+        run_dir = tmp_path / "run"
+        monkeypatch.setitem(runner.EXPERIMENTS, "fake_gated", _fake_mono)
+        original = sharding.get_shardable.__wrapped__
+
+        def patched(name):
+            if name == "fake_gated":
+                return GatedShards(gate_dir)
+            return original(name)
+
+        monkeypatch.setattr(sharding, "get_shardable", patched)
+        pid_files = lambda: sorted(gate_dir.glob("*.pid"))  # noqa: E731
+
+        driver = _FORK.Process(target=_drive_gated, args=(run_dir,))
+        driver.start()
+        try:
+            # Both workers hold a task and wait at the gate.
+            assert _wait_for(lambda: len(pid_files()) == 2)
+            worker_pids = {int(path.read_text()) for path in pid_files()}
+            os.kill(driver.pid, signal.SIGKILL)
+            driver.join()
+        finally:
+            (gate_dir / "go").touch()
+            if driver.is_alive():
+                driver.kill()
+                driver.join()
+        assert driver.exitcode == -signal.SIGKILL
+
+        # Orphaned, each worker finishes its task and then exits instead
+        # of claiming the two tasks nobody holds.
+        assert _wait_for(lambda: all(map(_exited, worker_pids)))
+        queue = WorkQueue(run_dir, owner="observer")
+        tasks = expand_tasks(["fake_gated"], None)
+        assert sum(map(queue.is_completed, tasks)) == 2
+        assert len(pid_files()) == 2
+        assert list(queue.held_leases()) == []
+        summaries = [
+            json.loads(path.read_text())
+            for path in queue.workers_dir.glob("*.json")
+        ]
+        assert len(summaries) == 2
+        for summary in summaries:
+            assert summary["claims"] == summary["completed"] == 1
+            assert summary["pid"] in worker_pids
+            assert "finished_at" in summary
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@
 kernel, merge order-independence, and bounded-state behavior.
 
 The parity contract under test (documented in
-``src/repro/sketch/column.py``): 23 of the 25 statistics are
-bit-identical to ``compute_stats_batch`` on the same rows;
-``mean_value``/``std_value`` (indices 5 and 6) may differ by numpy's own
-pairwise-summation rounding — asserted here to stay within a few ulp.
+``src/repro/sketch/column.py``): all 25 statistics are bit-identical to
+``compute_stats_batch`` on the same rows, however the rows are chunked or
+merged — both engines share one accumulate step and one finalize step.
 """
 
 from __future__ import annotations
@@ -14,28 +13,25 @@ import io
 import math
 import struct
 from fractions import Fraction
+from unittest.mock import patch
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import moments as moments_module
 from repro.core.featurize import ProfileError, profile_table
-from repro.core.stats import STAT_INDEX, StatsScanCache, compute_stats_batch
+from repro.core.stats import StatsScanCache, compute_stats_batch
 from repro.obs import telemetry
-from repro.sketch import ColumnSketch, SketchConfig, StreamingProfiler, profile_csv_stream
-from repro.sketch.accumulator import ExactMoments
+from repro.sketch import (
+    ColumnSketch,
+    ExactMoments,
+    SketchConfig,
+    StreamingProfiler,
+    profile_csv_stream,
+)
 from repro.tabular.column import Column
 from repro.tabular.csv_io import iter_csv_chunks, read_csv_text
-
-#: Stat indices allowed to carry the float-reassociation delta.
-ULP_INDICES = (STAT_INDEX["mean_value"], STAT_INDEX["std_value"])
-#: Empirical bound from the accumulator docs: numpy's pairwise summation
-#: stays within a few ulp of the correctly-rounded exact moments.  The
-#: batch kernel's sum/sumsq cancellation can reach ~5 ulp on short,
-#: ill-conditioned columns (e.g. [353161, 995.312, -322288]), so the
-#: bound leaves headroom while staying firmly ulp-level.
-ULP_BOUND = 16
 
 cells_strategy = st.lists(
     st.one_of(
@@ -51,33 +47,13 @@ cells_strategy = st.lists(
 
 
 def assert_stats_match(streamed, batch, context=""):
-    """23/25 bit-identical; mean/std within ``ULP_BOUND`` ulp.
-
-    The ulp scale is anchored on the *data* magnitude (|min|/|max|, which
-    are bit-identical between the two paths), not just the statistic
-    itself: the batch kernel's sum/sumsq cancellation error is relative
-    to the values it summed, so columns like [523289, 999.332, -499713]
-    can be exact to <1 ulp of the inputs yet tens of ulp of the much
-    smaller mean, and a constant column's exact std of 0.0 may
-    legitimately differ from the batch kernel's eps-of-the-mean residue.
-    """
+    """All 25 statistics are bit-identical (0.0 and -0.0 differ)."""
     got, want = streamed.values, batch.values
-    data_scale = max(
-        abs(want[STAT_INDEX["mean_value"]]),
-        abs(want[STAT_INDEX["min_value"]]),
-        abs(want[STAT_INDEX["max_value"]]),
-    )
     for index in range(len(want)):
-        if index in ULP_INDICES:
-            scale = max(abs(got[index]), abs(want[index]), data_scale, 1e-300)
-            assert abs(got[index] - want[index]) <= ULP_BOUND * np.spacing(
-                scale
-            ), f"stat {index} beyond ulp bound{context}: {got[index]!r} != {want[index]!r}"
-        else:
-            assert got[index] == want[index], (
-                f"stat {index} not bit-identical{context}: "
-                f"{got[index]!r} != {want[index]!r}"
-            )
+        assert got[index:index + 1].tobytes() == want[index:index + 1].tobytes(), (
+            f"stat {index} not bit-identical{context}: "
+            f"{got[index]!r} != {want[index]!r}"
+        )
 
 
 def batch_stats(cells):
@@ -85,16 +61,27 @@ def batch_stats(cells):
 
 
 class TestExactMoments:
-    def test_matches_fraction_reference(self):
-        values = [0.1, 0.2, 0.3, 1e-300, 1e150, -7.25, 3.0]
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+            max_size=30,
+        )
+    )
+    @example(values=[0.1, 0.2, 0.3, 1e-300, 1e150, -7.25, 3.0])
+    # The variance (1e616) overflows float64: the std must read inf.
+    @example(values=[1e308, -1e308])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_reference(self, values):
         moments = ExactMoments()
         moments.add_many(values)
-        mean, std = moments.mean_std()
         exact = [Fraction(v) for v in values]
         mean_ref = sum(exact) / len(exact)
         var_ref = sum(f * f for f in exact) / len(exact) - mean_ref * mean_ref
-        assert mean == float(mean_ref)
-        assert std == math.sqrt(float(var_ref))
+        try:
+            var_float = float(var_ref)
+        except OverflowError:
+            var_float = math.inf
+        assert moments.mean_std() == (float(mean_ref), math.sqrt(var_float))
         assert moments.min == min(values)
         assert moments.max == max(values)
 
@@ -148,12 +135,17 @@ class TestExactMoments:
         ),
         start=st.none() | st.floats(allow_nan=False, allow_infinity=False),
         weighted=st.booleans(),
+        int_slice=st.sampled_from([1, 3, 4096]),
     )
     # A 0.0/-0.0 tie at the min or max keeps the first of the two.
-    @example(pairs=[(0.0, 1), (-0.0, 2), (5.0, 1)], start=None, weighted=True)
-    @example(pairs=[(-0.0, 1), (0.0, 2), (-5.0, 1)], start=None, weighted=True)
+    @example(pairs=[(0.0, 1), (-0.0, 2), (5.0, 1)], start=None, weighted=True,
+             int_slice=4096)
+    @example(pairs=[(-0.0, 1), (0.0, 2), (-5.0, 1)], start=None, weighted=True,
+             int_slice=4096)
     @settings(max_examples=300, deadline=None)
-    def test_add_many_equals_add_weighted_loop(self, pairs, start, weighted):
+    def test_add_many_equals_add_weighted_loop(
+        self, pairs, start, weighted, int_slice
+    ):
         values = [value for value, _ in pairs]
         weights = [weight for _, weight in pairs] if weighted else [1] * len(pairs)
         loop, batch = ExactMoments(), ExactMoments()
@@ -162,7 +154,8 @@ class TestExactMoments:
             batch.add(start)
         for value, weight in zip(values, weights):
             loop.add_weighted(value, weight)
-        batch.add_many(values, weights if weighted else None)
+        with patch.object(moments_module, "_INT_SLICE", int_slice):
+            batch.add_many(values, weights if weighted else None)
         bits = lambda x: struct.pack("<d", x)  # tells 0.0 from -0.0
         assert (batch.count, batch._sum, batch._sumsq) == (
             loop.count, loop._sum, loop._sumsq
@@ -284,40 +277,6 @@ class TestBoundedState:
             left.merge(right)
 
 
-class TestReservoirSamples:
-    def test_depends_only_on_distinct_set(self):
-        config = SketchConfig(sample_mode="reservoir", seed=5)
-        values = [f"item-{i}" for i in range(50)]
-        forward, backward = ColumnSketch("x", config), ColumnSketch("x", config)
-        forward.update(values)
-        backward.update(values[::-1] * 2)  # order and multiplicity differ
-        assert forward.samples() == backward.samples()
-        assert len(forward.samples()) == 5
-
-    def test_merge_matches_single_pass(self):
-        config = SketchConfig(sample_mode="reservoir", seed=1)
-        values = [f"item-{i}" for i in range(40)]
-        single = ColumnSketch("x", config)
-        single.update(values)
-        left, right = ColumnSketch("x", config), ColumnSketch("x", config)
-        left.update(values[:13], cell_offset=0)
-        right.update(values[13:], cell_offset=13)
-        assert left.merge(right).samples() == single.samples()
-
-    def test_seed_changes_the_sample(self):
-        values = [f"item-{i}" for i in range(50)]
-        samples = []
-        for seed in (0, 1):
-            sketch = ColumnSketch("x", SketchConfig(sample_mode="reservoir", seed=seed))
-            sketch.update(values)
-            samples.append(sketch.samples())
-        assert samples[0] != samples[1]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="sample_mode"):
-            SketchConfig(sample_mode="bogus")
-
-
 CSV_TEXT = "id,amount,city,note\n" + "\n".join(
     f"{i},{i * 1.25 + 0.5:.2f},{['CA', 'TX', 'NY'][i % 3]},note {i % 11}"
     for i in range(200)
@@ -340,7 +299,22 @@ class TestStreamingProfiler:
         for got, want in zip(streamed, batch):
             assert got.samples == want.samples
             assert got.source_file == want.source_file == "t"
+            assert got.stats.values.tolist() == want.stats.values.tolist()
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 64])
+    def test_ill_conditioned_columns_match_profile_table(self, chunk_rows):
+        # x: numpy's pairwise mean is 10622.770666666658, 6 ulp below the
+        # exact 10622.770666666667; both engines must report the exact
+        # moments.  z: buffered, "-0" (interned from y) sorts before "0";
+        # streamed, "0" arrives first; min_value must not keep the sign.
+        text = "x,y,z\n353161,a,0\n995.312,-0,-0\n-322288,c,0\n"
+        streamed = self._streamed(text, chunk_rows=chunk_rows)
+        batch = self._batch(text)
+        for got, want in zip(streamed, batch):
             assert_stats_match(got.stats, want.stats, context=f" ({got.name})")
+        assert batch[0].stats["mean_value"] == float(
+            (Fraction(353161) + Fraction(995.312) - 322288) / 3
+        )
 
     def test_scan_cache_recycling_changes_nothing(self):
         telemetry.enable()
@@ -413,18 +387,3 @@ class TestStreamingProfiler:
         finally:
             telemetry.reset()
             telemetry.disable()
-
-
-class TestStreamedCorpus:
-    def test_streamed_corpus_matches_batch(self):
-        from repro.datagen.corpus import generate_corpus
-
-        batch = generate_corpus(n_examples=60, seed=3)
-        streamed = generate_corpus(n_examples=60, seed=3, stream=True)
-        assert len(streamed.dataset) == len(batch.dataset)
-        assert streamed.truth == batch.truth
-        for got, want in zip(streamed.dataset.profiles, batch.dataset.profiles):
-            assert got.name == want.name
-            assert got.samples == want.samples
-            assert got.label == want.label
-            assert_stats_match(got.stats, want.stats, context=f" ({got.name})")
