@@ -17,11 +17,11 @@ and the prediction comparison is strict.
 
 CI runs this at ~1M rows (``--rows 1000000 --ceiling-mb 512
 --buffered-ceiling-mb 1024``; ``.github/workflows/ci.yml`` explains the
-buffered value); the committed ``BENCH_pr8.json`` comes from a larger
-local run whose file is >= 10x the 320 MB ceiling::
+buffered value).  PR 8's evidence run (recorded in CHANGES.md) used a
+larger file, >= 10x the 320 MB ceiling::
 
     python scripts/stream_smoke.py --rows 15000000 --ceiling-mb 320 \
-        --out BENCH_pr8.json
+        --out REPORT.json
 
 Exit code 0 means generation, the RSS ceiling, output parity, and the
 throughput budget all held.

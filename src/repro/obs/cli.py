@@ -13,15 +13,16 @@ Three subcommands over the artifacts the telemetry layer emits:
     Stitch multi-process span files into one, deduplicated by span_id and
     ordered by start time — the input ``trace show`` and archival want.
 
-``repro-obs trend BENCH_pr2.json BENCH_pr3.json run_manifest.json ...``
-    Compare committed benchmark evidence across PRs: every numeric leaf
-    is flattened to a dotted path, adjacent files are diffed, and changes
-    past ``--threshold`` percent in the *bad* direction (latency/wall-time
-    up, throughput down) are flagged as regressions.  ``--strict`` turns
-    flagged regressions into a non-zero exit for CI gating.
+``repro-obs trend old_manifest.json new_manifest.json ...``
+    Compare run manifests or saved perfbench result lines: every numeric
+    leaf is flattened to a dotted path, adjacent files are diffed, and
+    changes past ``--threshold`` percent in the *bad* direction
+    (latency/wall-time/RSS/failures up, throughput down) are flagged as
+    regressions.  ``--strict`` turns flagged regressions into a non-zero
+    exit for CI gating.
 
 Files with no overlapping metrics simply produce no comparisons — trend
-accepts any mix of ``BENCH_*.json`` shapes and run manifests.
+accepts any mix of JSON shapes.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.obs.export import read_jsonl, write_jsonl
 _BAD_UP = (
     "wall_s", "wall_clock", "cpu_s", "latency", "_ms", "queue", "p50",
     "p90", "p99", "shed", "errors", "deadline_exceeded", "dropped",
+    "rss", "setup_s", "failed",
 )
 #: Trend: metric-path fragments where a *decrease* is bad.
 _BAD_DOWN = ("columns_per_s", "per_s", "speedup", "throughput", "accuracy")
@@ -165,10 +167,21 @@ def render_tree(records: list[dict]) -> str:
 def flatten_numeric(payload, prefix: str = "") -> dict[str, float]:
     """Every numeric leaf of a nested dict as ``{"a.b.c": value}``.
 
-    Lists are skipped (experiment lists and workload arrays vary in length
-    across PRs, so positional paths would compare unlike things).
+    A list whose entries are dicts with distinct ``"name"`` keys flattens
+    under each entry's name (``experiments.table18.wall_s``), so two run
+    manifests diff per experiment.  Other lists are skipped: they vary in
+    length across runs, so positional paths would compare unlike things.
     """
     out: dict[str, float] = {}
+    if isinstance(payload, list):
+        named = {
+            str(entry["name"]): entry
+            for entry in payload
+            if isinstance(entry, dict) and "name" in entry
+        }
+        if not payload or len(named) != len(payload):
+            return out
+        payload = named
     if isinstance(payload, dict):
         for key, value in payload.items():
             path = f"{prefix}.{key}" if prefix else str(key)
@@ -176,7 +189,7 @@ def flatten_numeric(payload, prefix: str = "") -> dict[str, float]:
                 continue
             if isinstance(value, (int, float)):
                 out[path] = float(value)
-            elif isinstance(value, dict):
+            elif isinstance(value, (dict, list)):
                 out.update(flatten_numeric(value, path))
     return out
 
@@ -271,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     trend = sub.add_parser(
-        "trend", help="compare BENCH_*.json / run manifests across PRs"
+        "trend", help="compare run manifests / perfbench results across runs"
     )
     trend.add_argument("files", nargs="+", metavar="JSON")
     trend.add_argument(

@@ -4,7 +4,8 @@ A manifest captures everything needed to cite (or re-run) a benchmark
 invocation: command + arguments, seed and corpus scale, git SHA, interpreter
 and platform, per-experiment wall times, the aggregated span breakdown, and
 the full metrics snapshot.  ``repro-bench all --manifest run.json`` writes
-one; BENCH_*.json entries in later perf PRs reference these.
+one; ``repro-obs trend old.json new.json`` diffs two of them per experiment
+and per span.
 """
 
 from __future__ import annotations

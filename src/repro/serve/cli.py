@@ -195,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     # The startup line is machine-readable on purpose: tests and
-    # bench_serve.py parse the URL (--port 0 binds an ephemeral port).
+    # perfbench parse the URL (--port 0 binds an ephemeral port).
     described = (
         "artifacts " + ",".join(names) if specs else "training"
     )

@@ -2,7 +2,7 @@
 
 Used by ``repro-infer --server URL`` (so the CLI can delegate to a resident
 server instead of training/loading a model per invocation) and by
-``scripts/bench_serve.py``.  No third-party HTTP dependency.
+perfbench's load generator.  No third-party HTTP dependency.
 
 Connections are persistent: each calling thread keeps one HTTP/1.1
 keep-alive connection open (``http.client.HTTPConnection``), so a loop of

@@ -30,9 +30,10 @@ Stdlib-only (``http.server.ThreadingHTTPServer`` + ``json``).  Endpoints:
     route atomically points at the new artifact (200 with the new
     fingerprint/generation), ``"drained"`` additionally waits for every
     in-flight batch against the old artifact, ``"none"`` returns 202
-    immediately.  409 while another swap of the same model is loading;
-    500 when the replacement artifact fails to load (the old model keeps
-    serving).
+    immediately.  400 (before any swap starts) for a bad ``path``,
+    ``wait`` or ``timeout_s`` (a finite number > 0); 409 while another
+    swap of the same model is loading; 500 when the replacement artifact
+    fails to load (the old model keeps serving).
 
 ``GET /v1/models``
     Every registered model with name, state (loading/ready/draining),
@@ -49,6 +50,9 @@ Stdlib-only (``http.server.ThreadingHTTPServer`` + ``json``).  Endpoints:
     rolling-window quantiles.  ``Accept: application/json`` — or ``GET
     /metrics.json`` — returns the raw JSON snapshot instead.
 
+A response sent before the request body was read carries ``Connection:
+close``: the unread bytes must not be parsed as the next request.
+
 Every ``POST /v1/infer`` honors an incoming W3C ``traceparent`` header:
 the server's spans join the caller's trace, and the trace id is echoed in
 the response body (``trace_id``) and the ``X-Trace-Id`` header.
@@ -57,6 +61,7 @@ the response body (``trace_id``) and the ``X-Trace-Id`` header.
 from __future__ import annotations
 
 import json
+import math
 import re
 import socket
 import threading
@@ -154,6 +159,9 @@ class ServeHandler(BaseHTTPRequestHandler):
     # Idle keep-alive connections time out so a drain can always finish
     # joining handler threads.
     timeout = 30
+    # True while the current request's body is (partly) unread; any
+    # response sent then closes the connection (see _send_body).
+    _body_pending = False
 
     @property
     def service(self) -> InferenceService:
@@ -190,6 +198,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         # A malformed/absent traceparent means "start fresh", never an error.
         context = TraceContext.from_traceparent(self.headers.get("traceparent"))
+        self._body_pending = True
         with use_context(context):
             self._handle_post(context)
 
@@ -253,7 +262,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 name, length, deadline_s, trace_id, model_name
             )
             return
-        body = self.rfile.read(length)
+        body = self._read_body(length)
         try:
             table = parse_table(
                 self.headers.get("Content-Type", ""), body, name=name
@@ -282,7 +291,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             )
             return
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            payload = json.loads(self._read_body(length).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._send_json(
                 400, {"error": f"invalid JSON body: {exc}"}, trace_id=trace_id
@@ -307,6 +316,17 @@ class ServeHandler(BaseHTTPRequestHandler):
             self._send_json(
                 400,
                 {"error": 'wait must be "flipped", "drained", or "none"'},
+                trace_id=trace_id,
+            )
+            return
+        if (
+            isinstance(timeout_s, bool)
+            or not isinstance(timeout_s, (int, float))
+            or not math.isfinite(timeout_s)
+            or timeout_s <= 0
+        ):
+            self._send_json(
+                400, {"error": "timeout_s must be a finite number > 0"},
                 trace_id=trace_id,
             )
             return
@@ -391,6 +411,8 @@ class ServeHandler(BaseHTTPRequestHandler):
                         f"({length - remaining} of {length} bytes)"
                     )
                 remaining -= len(piece)
+                if not remaining:
+                    self._body_pending = False
                 yield piece
 
         try:
@@ -399,9 +421,6 @@ class ServeHandler(BaseHTTPRequestHandler):
                     profiler.consume(chunk)
                 profiles = profiler.profiles()
         except (CSVReadError, ProfileError) as exc:
-            # The socket may still hold unread body bytes; a keep-alive
-            # reuse would read them as the next request line.
-            self.close_connection = True
             telemetry.count("serve.bad_request")
             self._send_json(400, {"error": str(exc)}, trace_id=trace_id)
             return
@@ -544,6 +563,11 @@ class ServeHandler(BaseHTTPRequestHandler):
             raise BadRequestError("deadline_ms must be positive")
         return deadline_ms / 1000.0
 
+    def _read_body(self, length: int) -> bytes:
+        body = self.rfile.read(length)
+        self._body_pending = False
+        return body
+
     @staticmethod
     def _query_value(parsed, key: str) -> str | None:
         values = parse_qs(parsed.query).get(key)
@@ -592,6 +616,11 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self._body_pending:
+            # Answered before the request body was read: on a keep-alive
+            # reuse the leftover bytes would parse as the next request line.
+            self.close_connection = True
+            self.send_header("Connection", "close")
         for key, value in (headers or {}).items():
             self.send_header(key, value)
         # Status line, headers and body leave as one sendall: end_headers()

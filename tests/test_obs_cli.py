@@ -172,6 +172,34 @@ class TestTrendClassification:
         )
         assert flat == {"a.b": 1.5, "n": 3.0}
 
+    def test_flatten_named_list_under_entry_names(self):
+        flat = flatten_numeric({"experiments": [
+            {"name": "table18", "wall_s": 1.5},
+            {"name": "labeling", "wall_s": 9.0, "stats": {"n": 2}},
+        ]})
+        assert flat == {
+            "experiments.table18.wall_s": 1.5,
+            "experiments.labeling.wall_s": 9.0,
+            "experiments.labeling.stats.n": 2.0,
+        }
+
+    def test_flatten_skips_partly_named_or_duplicate_name_lists(self):
+        assert flatten_numeric({"runs": [{"name": "a", "x": 1}, {"x": 2}]}) \
+            == {}
+        assert flatten_numeric(
+            {"runs": [{"name": "a", "x": 1}, {"name": "a", "x": 2}]}
+        ) == {}
+        assert flatten_numeric({"runs": []}) == {}
+
+    def test_perfbench_memory_setup_and_failures_are_classified(self):
+        assert classify_delta("metrics.peak_rss_mb.value", 100, 150) == \
+            "regression"
+        assert classify_delta("metrics.alt_peak_rss_mb.value", 150, 100) == \
+            "improvement"
+        assert classify_delta("metrics.setup_s.value", 0.2, 0.4) == \
+            "regression"
+        assert classify_delta("failed", 0, 3) == "regression"
+
 
 class TestTrendCommand:
     def _write(self, path, payload):
@@ -222,13 +250,47 @@ class TestTrendCommand:
         good = self._write(tmp_path / "a.json", {"x": 1.0})
         assert main(["trend", good]) == 2
 
-    def test_committed_bench_files_compare(self, capsys):
-        # The repo's own evidence files must stay trend-comparable.
-        import os
-        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        pr2 = os.path.join(repo, "BENCH_pr2.json")
-        pr3 = os.path.join(repo, "BENCH_pr3.json")
-        if not (os.path.exists(pr2) and os.path.exists(pr3)):
-            pytest.skip("committed BENCH files not present")
-        assert main(["trend", pr2, pr3]) == 0
-        assert "==" in capsys.readouterr().out
+    def test_manifests_diff_per_experiment(self, tmp_path, capsys):
+        def manifest(table18_s, labeling_s):
+            return {
+                "experiments": [
+                    {"name": "table18", "wall_s": table18_s},
+                    {"name": "labeling", "wall_s": labeling_s},
+                ],
+                "argv": ["table18", "labeling"],
+            }
+
+        old = self._write(tmp_path / "a.json", manifest(1.0, 10.0))
+        new = self._write(tmp_path / "b.json", manifest(3.0, 10.2))
+        assert main(["trend", old, new]) == 0
+        out = capsys.readouterr().out
+        assert "REGRESSION  experiments.table18.wall_s: 1 -> 3 (+200.0%)" \
+            in out
+        assert "experiments.labeling" not in out  # within the threshold
+        assert "1 regression(s) flagged" in out
+
+    def test_perfbench_results_flag_memory_setup_and_failures(
+        self, tmp_path, capsys
+    ):
+        def result(failed, op_ms, rss_mb, setup_s):
+            return {
+                "correct": failed == 0,
+                "attempted": 100,
+                "failed": failed,
+                "metrics": {
+                    "op_ms": {"value": op_ms, "unit": "ms"},
+                    "throughput_per_s": {"value": 600.0, "unit": "1/s"},
+                    "peak_rss_mb": {"value": rss_mb, "unit": "MB"},
+                    "setup_s": {"value": setup_s, "unit": "s"},
+                },
+            }
+
+        old = self._write(tmp_path / "a.json", result(0, 20.0, 165.0, 0.24))
+        new = self._write(tmp_path / "b.json", result(2, 20.5, 268.0, 0.71))
+        assert main(["trend", old, new, "--strict"]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION  failed: 0 -> 2" in out
+        assert "REGRESSION  metrics.peak_rss_mb.value: 165 -> 268" in out
+        assert "REGRESSION  metrics.setup_s.value: 0.24 -> 0.71" in out
+        assert "metrics.op_ms" not in out  # +2.5%, within the threshold
+        assert "3 regression(s) flagged" in out

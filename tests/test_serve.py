@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -448,6 +449,78 @@ class TestTransport:
         assert ok["predictions"]
         assert exc_info.value.status == 404
         assert writes == 3  # a 200 JSON, a 404 JSON, a 200 text
+
+
+def _read_response(reader) -> tuple[bytes, bytes]:
+    """One HTTP response (head, body) off a raw socket's reader."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = reader.readline()
+        assert line, f"connection closed inside a response head: {head!r}"
+        head += line
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    return head, reader.read(length)
+
+
+class TestEarlyErrorKeepAlive:
+    """A response sent before the request body was read must close the
+    connection: on keep-alive reuse the leftover body bytes would parse
+    as the next request line."""
+
+    HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+    BODY = b"a,b\n1,2\n3,4\n5,6\n7,8\n9,10\n"
+
+    @staticmethod
+    def _post(path: str, body: bytes) -> bytes:
+        return (
+            f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Type: text/csv\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii") + body
+
+    @pytest.mark.parametrize("case", ["bad_deadline", "unknown_endpoint",
+                                      "draining"])
+    def test_unread_body_closes_the_connection(self, served_model, case):
+        path = {
+            "bad_deadline": "/v1/infer?deadline_ms=-1",
+            "unknown_endpoint": "/v1/no-such-endpoint",
+            "draining": "/v1/infer",
+        }[case]
+        expected = {"bad_deadline": 400, "unknown_endpoint": 404,
+                    "draining": 503}[case]
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, service):
+            service.draining = case == "draining"
+            port = int(client.base_url.rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) \
+                    as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(self._post(path, self.BODY))
+                head, _ = _read_response(reader)
+                try:
+                    sock.sendall(self.HEALTHZ)
+                    rest = reader.read()
+                except (ConnectionResetError, BrokenPipeError):
+                    rest = b""
+        assert head.startswith(f"HTTP/1.1 {expected} ".encode())
+        assert b"Connection: close" in head
+        # Without the close, the leftover body came back as an HTML 400.
+        assert rest == b""
+
+    def test_read_body_keeps_the_connection(self, served_model):
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            port = int(client.base_url.rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) \
+                    as sock:
+                reader = sock.makefile("rb")
+                sock.sendall(self._post("/v1/infer", b"\xff\xfe"))  # not UTF-8
+                first, _ = _read_response(reader)
+                sock.sendall(self.HEALTHZ)
+                second, body = _read_response(reader)
+        assert first.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" not in first
+        assert second.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(body)["ready"] is True
 
 
 class TestClientFootprint:

@@ -304,17 +304,20 @@ class TestHotSwap:
     ):
         """Sustained mixed-model load through a swap: zero lost requests,
         clean fingerprint flip, no post-drain answers from the stale
-        artifact, the other model untouched."""
+        artifact, the other model untouched, and every answer
+        byte-identical to the offline pipeline of the artifact that
+        served it."""
         registry = ModelRegistry.preloaded(fleet_models["rf"], name="main")
         registry.register("knn", model=fleet_models["knn"])
         fp_old = registry.resolve("main").fingerprint
+        fp_knn = registry.resolve("knn").fingerprint
 
         rf_new = RandomForestModel(n_estimators=12, random_state=7)
         rf_new.fit(generate_corpus(n_examples=120, seed=5).dataset)
         new_path = tmp_path / "rf-new.model"
         save_model(rf_new, new_path)
 
-        results: list[dict] = []
+        results: list[tuple[int, dict]] = []  # (SOAK_CSVS index, response)
         errors: list[BaseException] = []
         lock = threading.Lock()
         stop = threading.Event()
@@ -323,17 +326,17 @@ class TestHotSwap:
             i = 0
             while not stop.is_set():
                 model = "main" if (i + index) % 2 == 0 else "knn"
+                k = i % len(SOAK_CSVS)
                 try:
                     response = client.infer_csv_text(
-                        SOAK_CSVS[i % len(SOAK_CSVS)],
-                        table=f"t{index}-{i}", model=model,
+                        SOAK_CSVS[k], table=f"t{index}-{i}", model=model,
                     )
                 except BaseException as exc:  # lost request == test failure
                     with lock:
                         errors.append(exc)
                     return
                 with lock:
-                    results.append(response)
+                    results.append((k, response))
                 i += 1
 
         with running_server(registry, max_wait_s=0.002) as (client, service):
@@ -362,8 +365,27 @@ class TestHotSwap:
 
         assert not errors, f"lost/failed requests during swap: {errors[:3]}"
         assert fp_new != fp_old
-        main_responses = [r for r in results if r["model"] == "rf"]
-        knn_responses = [r for r in results if r["model"] == "knn"]
+        offline = {
+            fp: [
+                json.dumps([
+                    p.as_dict()
+                    for p in TypeInferencePipeline(model).predict_csv_text(csv)
+                ])
+                for csv in SOAK_CSVS
+            ]
+            for fp, model in (
+                (fp_old, fleet_models["rf"]), (fp_new, rf_new),
+                (fp_knn, fleet_models["knn"]),
+            )
+        }
+        for k, response in results + [(0, r) for r in post_drain]:
+            assert json.dumps(response["predictions"]) == \
+                offline[response["fingerprint"]][k], (
+                    f"{response['table']} diverges from the offline answer "
+                    f"of the artifact that served it"
+                )
+        main_responses = [r for _, r in results if r["model"] == "rf"]
+        knn_responses = [r for _, r in results if r["model"] == "knn"]
         assert main_responses and knn_responses
         # Clean flip: fingerprint is a function of swap generation, and only
         # the two expected artifacts ever answered.
@@ -381,6 +403,25 @@ class TestHotSwap:
         # The un-swapped model was never disturbed.
         assert {r["generation"] for r in knn_responses} == {0}
         assert len({r["fingerprint"] for r in knn_responses}) == 1
+
+    @pytest.mark.parametrize(
+        "timeout_s", ["soon", True, 0, -1.0, float("inf"), None]
+    )
+    def test_bad_swap_timeout_is_400_before_swapping(
+        self, fleet_models, fleet_model_paths, timeout_s
+    ):
+        registry = ModelRegistry.preloaded(fleet_models["rf"], name="main")
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            with pytest.raises(ServeClientError) as exc_info:
+                client.swap_model(
+                    "main", fleet_model_paths["rf"], timeout_s=timeout_s
+                )
+            assert exc_info.value.status == 400
+            assert client.models()["models"]["main"]["generation"] == 0
+            # Had the rejected swap started, this one would collide with it
+            # (409) or land on generation 2.
+            swapped = client.swap_model("main", fleet_model_paths["rf"])
+        assert swapped["generation"] == 1
 
     def test_second_swap_while_loading_is_409(
         self, fleet_models, fleet_model_paths
