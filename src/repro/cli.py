@@ -16,8 +16,9 @@ model resident and batches concurrent invocations (see docs/serving.md).
 ``--stream`` profiles the CSV through :mod:`repro.sketch` instead of
 materializing it, so memory stays bounded by the chunk size and the
 distinct-value cap regardless of file size (see docs/performance.md for the
-memory model and the stats-parity contract).  With ``--server`` it streams
-the upload from disk instead of buffering it.
+memory model and the stats-parity contract).  With ``--server`` the file
+is always uploaded from disk as-is, and the server profiles it the same
+way either way.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.obs import (
 )
 from repro.obs.export import write_json, write_spans_jsonl
 from repro.core.featurize import ProfileError
-from repro.tabular.csv_io import CSVReadError, decode_csv_bytes, load_csv_table
+from repro.tabular.csv_io import CSVReadError, load_csv_table
 
 DEFAULT_TRAIN_EXAMPLES = 1500
 
@@ -90,33 +91,17 @@ def _infer_via_server(args, observing: bool) -> int:
     client = ServeClient(args.server)
     server_model = getattr(args, "server_model", None)
     table = os.path.splitext(os.path.basename(args.csv))[0]
-    if not args.stream:
-        try:
-            with open(args.csv, "rb") as handle:
-                text = decode_csv_bytes(handle.read())
-        except (OSError, CSVReadError) as exc:
-            print(
-                f"repro-infer: cannot read {args.csv!r}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
     try:
         # The client mints the request's traceparent inside its own
         # "client.request" span; that span (exported via --trace-out) is
-        # the root the server's spans hang off.
+        # the root the server's spans hang off.  The file's bytes go up
+        # as-is: the server decodes them exactly as decode_csv_bytes does
+        # and profiles them chunk by chunk.
         with telemetry.span("infer.server", table=table, server=args.server):
-            if args.stream:
-                # Stream the upload from disk; the server profiles it
-                # chunk by chunk instead of materializing the table.
-                response = client.infer_csv_file(
-                    args.csv, table=table, deadline_ms=args.deadline_ms,
-                    model=server_model,
-                )
-            else:
-                response = client.infer_csv_text(
-                    text, table=table, deadline_ms=args.deadline_ms,
-                    model=server_model,
-                )
+            response = client.infer_csv_file(
+                args.csv, table=table, deadline_ms=args.deadline_ms,
+                model=server_model,
+            )
     except OSError as exc:
         print(f"repro-infer: cannot read {args.csv!r}: {exc}", file=sys.stderr)
         return 2
@@ -169,8 +154,8 @@ def main(argv: list[str] | None = None) -> int:
     streaming.add_argument(
         "--stream", action="store_true",
         help="profile the CSV in one bounded-memory pass (repro.sketch) "
-             "instead of materializing it; with --server, stream the upload "
-             "from disk",
+             "instead of materializing it (--server always uploads the file "
+             "as-is and the server always streams it)",
     )
     streaming.add_argument(
         "--chunk-rows", type=int, default=None, metavar="N",

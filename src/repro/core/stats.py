@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -424,6 +426,10 @@ class StatsScanCache:
     ``metric_prefix``, each trim counts ``<prefix>.scan_cache_reset`` and
     adds the values it keeps to ``<prefix>.scan_cache_kept``, and every
     batch sets the ``<prefix>.scan_cache_values`` gauge.
+
+    ``lock`` lets profilers on several threads share one cache: a
+    :class:`~repro.sketch.StreamingProfiler` holds it around each chunk it
+    consumes and each finalize.
     """
 
     def __init__(
@@ -431,6 +437,7 @@ class StatsScanCache:
     ):
         self.max_values = max_values
         self.metric_prefix = metric_prefix
+        self.lock = threading.Lock()
         self.values: list[str] = []
         self.value_index: dict[str, int] = _Interner(self.values)
         self._counts_buf = np.zeros((5, 0))
@@ -539,21 +546,19 @@ class ColumnTally(NamedTuple):
 
 
 def tally_columns(
-    codes: np.ndarray,
-    n_present: np.ndarray,
-    counts: np.ndarray,
-    parsed: np.ndarray,
+    cells: Iterable[str], n_present: np.ndarray, cache: StatsScanCache
 ) -> ColumnTally:
-    """Tally the value codes of a batch of columns against their scan rows.
+    """Intern, scan and tally the present cells of a batch of columns.
 
     This is the accumulate step of both stats engines:
     :func:`compute_stats_batch` tallies a batch of whole columns, and
-    :meth:`repro.sketch.ColumnSketch.update` tallies one chunk of one
-    column and adds the result to its running totals.
+    :class:`repro.sketch.StreamingProfiler` tallies the columns of one
+    chunk together and adds each column's result to its sketch.
 
-    ``codes`` holds the code of every present cell, column after column,
-    with ``n_present[i]`` cells for column ``i``; ``counts`` (5, n_values)
-    and ``parsed`` (n_values,) are the scan rows the codes index.  One
+    ``cells`` yields every present cell, column after column, with
+    ``n_present[i]`` cells for column ``i``.  Each cell is interned into
+    ``cache`` (one C-speed pass; only novel values drop into Python), the
+    novel values are scanned once, and the codes are marked as hits.  One
     ``np.unique`` over (column, code) keys gives every column's distinct
     values with their frequencies.  One ``np.bincount`` per sum folds the
     frequency-weighted shape counts into per-column totals; every term is
@@ -562,20 +567,31 @@ def tally_columns(
     distinct values go into each column's :class:`ExactMoments`, weighted
     by their frequencies, which is exact too.  A column tallied whole and
     one tallied chunk by chunk therefore agree bit for bit.
+
+    The returned codes index ``cache``'s scan rows; call
+    :meth:`StatsScanCache.end_batch` once done with them (a trim
+    renumbers them).
     """
     n_cols = len(n_present)
+    codes = np.fromiter(
+        map(cache.value_index.__getitem__, cells),
+        count=int(n_present.sum()), dtype=np.intp,
+    )
+    cache.scan_novel()
     stride = int(codes.max()) + 1 if codes.size else 1
     keys = np.repeat(np.arange(n_cols, dtype=np.intp) * stride, n_present)
     keys += codes
+    del codes  # folded into keys: free it before np.unique copies them
     keys, freq = np.unique(keys, return_counts=True)
     column, code = np.divmod(keys, stride)
+    cache.mark_hits(code)
     # before the shape sums, whose row-sized temporaries live until return
-    moments = _numeric_moments(column, code, freq, parsed, n_cols)
+    moments = _numeric_moments(column, code, freq, cache.parsed, n_cols)
     weights = freq.astype(float)
     sums = np.empty((5, n_cols))
     sumsq = np.empty((5, n_cols))
     for j in range(5):
-        row = counts[j, code]
+        row = cache.counts[j, code]
         weighted = row * weights
         sums[j] = np.bincount(column, weights=weighted, minlength=n_cols)
         weighted *= row
@@ -685,33 +701,25 @@ def compute_stats_batch(
         raise ValueError("samples_list must align with columns")
 
     cache = scan_cache if scan_cache is not None else StatsScanCache()
-    interned = cache.value_index.__getitem__
-
     n_cols = len(columns)
     totals = np.fromiter(map(len, columns), count=n_cols, dtype=np.intp)
     n_present = totals - np.fromiter(
         (column.cells.count(None) for column in columns),
         count=n_cols, dtype=np.intp,
     )
-    ends = np.cumsum(n_present)
-    starts = ends - n_present
-    code_arr = np.empty(int(ends[-1]) if n_cols else 0, dtype=np.intp)
-    for column, start, stop in zip(columns, starts.tolist(), ends.tolist()):
-        if start == stop:
-            telemetry.count("stats.empty_columns")
-            continue
-        present = [cell for cell in column.cells if cell is not None]
-        # one C-speed pass encodes the column; __missing__ interns novelty
-        code_arr[start:stop] = np.fromiter(
-            map(interned, present), count=stop - start, dtype=np.intp
-        )
     if telemetry.enabled:
         telemetry.count("stats.columns", n_cols)
         telemetry.count("stats.cells", int(totals.sum()))
+        n_empty = int(np.count_nonzero(n_present == 0))
+        if n_empty:
+            telemetry.count("stats.empty_columns", n_empty)
 
-    cache.scan_novel()
-    tally = tally_columns(code_arr, n_present, cache.counts, cache.parsed)
-    cache.mark_hits(tally.code)
+    # a present cell is never empty ("" reads as missing), so filter(None)
+    # drops exactly the missing ones
+    tally = tally_columns(
+        chain.from_iterable(filter(None, column.cells) for column in columns),
+        n_present, cache,
+    )
     distincts = tally.n_distinct.tolist()
     sums, sumsq = tally.sums.T.tolist(), tally.sumsq.T.tolist()
 

@@ -3,9 +3,10 @@
 The serving layer the ROADMAP calls for: load fitted models once through a
 multi-model :class:`~repro.serve.registry.ModelRegistry` (named,
 fingerprinted artifacts with per-request routing and zero-downtime hot
-swap), micro-batch concurrent column uploads through
-:class:`~repro.serve.batching.MicroBatcher` (amortizing
-``compute_stats_batch`` + ``predict_proba`` across requests), and expose it
+swap), profile every upload as it streams in through
+:class:`~repro.sketch.StreamingProfiler`, micro-batch the profiles of
+concurrent uploads through :class:`~repro.serve.batching.MicroBatcher`
+(amortizing one ``predict_proba`` call across requests), and expose it
 all over stdlib HTTP (``POST /v1/infer``, ``POST /v1/models/<name>/infer``,
 ``GET /healthz``, ``GET /metrics``).  Horizontal scale-out is client-side:
 :class:`~repro.serve.balance.FleetClient` balances over N serve processes

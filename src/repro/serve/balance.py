@@ -46,14 +46,12 @@ class NoBackendError(ServeClientError):
 class _Backend:
     __slots__ = ("url", "client", "inflight", "cooldown_until")
 
-    def __init__(self, url: str, timeout_s: float, keep_alive: bool):
+    def __init__(self, url: str, timeout_s: float):
         self.url = url.rstrip("/")
         # Backends get single-shot clients: retry/failover policy lives in
         # the fleet loop, where the next attempt can pick a different
         # backend instead of hammering the failed one.
-        self.client = ServeClient(
-            self.url, timeout_s=timeout_s, retry=None, keep_alive=keep_alive
-        )
+        self.client = ServeClient(self.url, timeout_s=timeout_s, retry=None)
         self.inflight = 0
         self.cooldown_until = 0.0
 
@@ -74,13 +72,10 @@ class FleetClient:
         retry: RetryPolicy | None = DEFAULT_RETRY,
         rng: random.Random | None = None,
         cooldown_s: float = 0.5,
-        keep_alive: bool = True,
     ):
         if not base_urls:
             raise ValueError("FleetClient needs at least one backend URL")
-        self._backends = [
-            _Backend(url, timeout_s, keep_alive) for url in base_urls
-        ]
+        self._backends = [_Backend(url, timeout_s) for url in base_urls]
         self.retry = retry
         self.cooldown_s = cooldown_s
         self._rng = rng if rng is not None else random.Random()

@@ -3,10 +3,10 @@
 Concurrent HTTP handlers submit one :class:`InferenceRequest` each; a single
 worker thread gathers requests into batches bounded by a column budget
 (``max_batch_columns``) and a gathering window (``max_wait_s``), then hands
-each batch to a runner callback.  Batching is what amortizes
-``compute_stats_batch`` and one ``predict_proba`` call across independent
-uploads — the same kernel-level win the offline benchmark gets from
-featurizing a whole corpus at once (see ``docs/performance.md``).
+each batch to a runner callback.  Each request arrives profiled
+(the HTTP handler streams its body through the sketch profiler), so
+batching amortizes one ``predict_proba`` call per model across independent
+uploads.
 
 Robustness semantics live here too: the queue is bounded (submissions past
 the limit raise :class:`QueueFullError` → HTTP 429), every request carries a
@@ -23,7 +23,7 @@ from collections import deque
 from typing import Callable
 
 from repro.obs import TraceContext, telemetry
-from repro.tabular.table import Table
+from repro.tabular.csv_io import CSVChunk
 
 
 class QueueFullError(RuntimeError):
@@ -45,38 +45,40 @@ class DeadlineExceededError(RuntimeError):
 
 
 class InferenceRequest:
-    """One submitted table (or pre-built profile list), its deadline, and
+    """One submitted upload's column profiles, its deadline, and
     (eventually) its result.
 
-    Streamed uploads are profiled on the HTTP handler thread (the only
-    place the request body exists); what reaches the batcher is the list of
-    :class:`~repro.core.featurize.ColumnProfile` objects, so ``table`` is
-    ``None`` and ``profiles`` is set.  Exactly one of the two is non-None.
+    The HTTP handler profiles every upload on its own thread (the only
+    place the request body exists), so what reaches the batcher is the
+    list of :class:`~repro.core.featurize.ColumnProfile` objects.  ``head``
+    is the upload's first :class:`~repro.tabular.csv_io.CSVChunk` of raw
+    rows, read only by the degraded (rule-based) answer.  ``profile_ms``
+    is the handler's profiling time, which ``infer_ms`` includes.
     """
 
     __slots__ = (
-        "table", "profiles", "table_name", "model_name", "deadline",
-        "enqueued_at", "started_at", "finished_at", "predictions", "model",
-        "fingerprint", "generation", "degraded", "error", "batch_requests",
-        "batch_columns", "trace", "_done",
+        "profiles", "head", "table_name", "model_name", "deadline",
+        "profile_ms", "enqueued_at", "started_at", "finished_at",
+        "predictions", "model", "fingerprint", "generation", "degraded",
+        "error", "batch_requests", "batch_columns", "trace", "_done",
     )
 
     def __init__(
         self,
-        table: Table | None,
+        profiles: list,
         deadline: float | None,
         trace: TraceContext | None = None,
-        profiles: list | None = None,
+        head: CSVChunk | None = None,
         table_name: str = "",
         model_name: str | None = None,
+        profile_ms: float = 0.0,
     ):
-        if (table is None) == (profiles is None):
-            raise ValueError("exactly one of table/profiles must be given")
-        self.table = table
         self.profiles = profiles
-        self.table_name = table.name if table is not None else table_name
+        self.head = head
+        self.table_name = table_name
         self.model_name = model_name  # registry route; None → default model
         self.deadline = deadline  # time.monotonic() instant, or None
+        self.profile_ms = profile_ms
         self.trace = trace  # submitting request's span; batch spans adopt it
         self.enqueued_at = time.monotonic()
         self.started_at: float | None = None
@@ -93,8 +95,6 @@ class InferenceRequest:
 
     @property
     def n_columns(self) -> int:
-        if self.table is not None:
-            return len(self.table.column_names)
         return len(self.profiles)
 
     def expired(self, now: float | None = None) -> bool:
@@ -142,8 +142,8 @@ class InferenceRequest:
     @property
     def infer_ms(self) -> float:
         if self.started_at is None or self.finished_at is None:
-            return 0.0
-        return 1000.0 * (self.finished_at - self.started_at)
+            return self.profile_ms
+        return self.profile_ms + 1000.0 * (self.finished_at - self.started_at)
 
 
 class MicroBatcher:
@@ -211,18 +211,20 @@ class MicroBatcher:
     # -- submission ----------------------------------------------------------
     def submit(
         self,
-        table: Table | None,
+        profiles: list,
         deadline: float | None = None,
         trace: TraceContext | None = None,
-        profiles: list | None = None,
+        head: CSVChunk | None = None,
         table_name: str = "",
         model_name: str | None = None,
+        profile_ms: float = 0.0,
     ) -> InferenceRequest:
-        """Enqueue one table (or pre-built profile list); the caller then
-        ``wait()``s on the request."""
+        """Enqueue one upload's profiles; the caller then ``wait()``s on
+        the request."""
         request = InferenceRequest(
-            table, deadline, trace=trace, profiles=profiles,
+            profiles, deadline, trace=trace, head=head,
             table_name=table_name, model_name=model_name,
+            profile_ms=profile_ms,
         )
         with self._cv:
             if self._closed:

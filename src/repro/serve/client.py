@@ -10,9 +10,7 @@ requests pays the TCP handshake once instead of per call.  A reused
 connection the server closed in the meantime (keep-alive timeout, restart)
 is transparently replaced with one fresh attempt before the error
 surfaces — counted as ``client.reconnect``, invisible to the retry policy.
-:meth:`ServeClient.close` releases the sockets; :meth:`infer_pipelined`
-goes further and pipelines many requests down one connection without
-waiting for each response.
+:meth:`ServeClient.close` releases the sockets.
 
 Transient failures are retried by default: 429/503 responses (honoring
 ``Retry-After``) and transport errors (connection refused/reset, a server
@@ -31,7 +29,6 @@ import http.client
 import json
 import os
 import random
-import socket
 import threading
 import time
 import urllib.parse
@@ -95,8 +92,7 @@ class ServeClient:
 
     ``retry`` (default :data:`DEFAULT_RETRY`) governs transient-failure
     handling; ``rng`` seeds the backoff jitter (tests pass
-    ``random.Random(0)`` for reproducible schedules).  ``keep_alive=False``
-    reverts to one connection per request.
+    ``random.Random(0)`` for reproducible schedules).
     """
 
     def __init__(
@@ -105,7 +101,6 @@ class ServeClient:
         timeout_s: float = 60.0,
         retry: RetryPolicy | None = DEFAULT_RETRY,
         rng: random.Random | None = None,
-        keep_alive: bool = True,
     ):
         self.base_url = base_url.rstrip("/")
         parsed = urllib.parse.urlsplit(self.base_url)
@@ -113,7 +108,6 @@ class ServeClient:
         self._port = parsed.port or 80
         self.timeout_s = timeout_s
         self.retry = retry
-        self.keep_alive = keep_alive
         self._rng = rng if rng is not None else random.Random()
         self._local = threading.local()
         self._conn_lock = threading.Lock()
@@ -127,7 +121,9 @@ class ServeClient:
         deadline_ms: float | None = None,
         model: str | None = None,
     ) -> dict:
-        """POST CSV text to ``/v1/infer``; the decoded response dict.
+        """POST CSV text (as UTF-8) to ``/v1/infer``; the decoded response
+        dict.  The server streams every CSV body through its sketch
+        profiler.
 
         ``model`` routes to one registered model via ``X-Repro-Model``
         (None → the server's default route).
@@ -144,15 +140,16 @@ class ServeClient:
         deadline_ms: float | None = None,
         model: str | None = None,
     ) -> dict:
-        """Stream a CSV file to ``/v1/infer?stream=1`` without buffering it.
+        """Upload a CSV file's bytes as-is to ``/v1/infer``, without
+        buffering it.
 
         The body is the file object itself (with an explicit
         ``Content-Length`` from its size), so client memory stays flat no
-        matter how large the upload; the ``stream=1`` query asks the server
-        to profile it chunk by chunk through ``repro.sketch`` instead of
-        materializing the table.  Retries re-open the file, so the retry
-        policy works unchanged.  ``OSError`` propagates for an unreadable
-        path (same as ``open``).
+        matter how large the upload; the server decodes the bytes exactly
+        as :func:`~repro.tabular.csv_io.decode_csv_bytes` decodes a file
+        and profiles them chunk by chunk.  Retries re-open the file, so the
+        retry policy works unchanged.  ``OSError`` propagates for an
+        unreadable path (same as ``open``).
         """
         path = os.fspath(path)
         if table is None:
@@ -164,7 +161,7 @@ class ServeClient:
 
         return self._post_infer(
             body, "text/csv", table=table, deadline_ms=deadline_ms,
-            stream=True, model=model,
+            model=model,
         )
 
     def infer_columns(
@@ -186,7 +183,6 @@ class ServeClient:
         content_type: str,
         table: str | None = None,
         deadline_ms: float | None = None,
-        stream: bool = False,
         model: str | None = None,
     ) -> dict:
         query = []
@@ -194,104 +190,8 @@ class ServeClient:
             query.append(f"table={urllib.parse.quote(table)}")
         if deadline_ms is not None:
             query.append(f"deadline_ms={deadline_ms:g}")
-        if stream:
-            query.append("stream=1")
         path = "/v1/infer" + ("?" + "&".join(query) if query else "")
         return self._request("POST", path, body, content_type, model=model)
-
-    # -- pipelining ----------------------------------------------------------
-    def infer_pipelined(
-        self,
-        jobs: list[tuple[str, str]],
-        model: str | None = None,
-        depth: int = 8,
-        deadline_ms: float | None = None,
-    ) -> list[dict]:
-        """Pipeline many CSV inferences down one persistent connection.
-
-        ``jobs`` is ``[(table_name, csv_text), ...]``; up to ``depth``
-        requests are written ahead of the responses, so the connection's
-        round-trip latency is paid once for the window instead of once per
-        request.  Responses come back in request order (HTTP/1.1 pipelining
-        semantics; ``http.client`` cannot do this, so the requests are
-        written to a raw socket and the responses parsed off one buffered
-        reader).  Returns the decoded response dicts in ``jobs`` order.
-
-        No retry: a transport failure mid-pipeline raises
-        :class:`ServeClientError` (callers that need at-least-once replay
-        the whole window — inference is pure).
-        """
-        if not jobs:
-            return []
-        depth = max(1, int(depth))
-        wire: list[bytes] = []
-        for table, text in jobs:
-            body = text.encode("utf-8")
-            query = f"?table={urllib.parse.quote(table)}" if table else ""
-            if deadline_ms is not None:
-                query += ("&" if query else "?") + f"deadline_ms={deadline_ms:g}"
-            context = TraceContext.generate()
-            head = (
-                f"POST /v1/infer{query} HTTP/1.1\r\n"
-                f"Host: {self._host}:{self._port}\r\n"
-                "Content-Type: text/csv\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"traceparent: {context.to_traceparent()}\r\n"
-                + (f"X-Repro-Model: {model}\r\n" if model else "")
-                + "\r\n"
-            ).encode("ascii")
-            wire.append(head + body)
-        results: list[dict] = []
-        with telemetry.span(
-            "client.pipeline", n_requests=len(jobs), depth=depth
-        ):
-            sock = socket.create_connection(
-                (self._host, self._port), timeout=self.timeout_s
-            )
-            try:
-                # Like http.client: never let Nagle hold a request behind
-                # the server's delayed ACK of the previous one.
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                reader = sock.makefile("rb")
-                sent = received = 0
-                while received < len(wire):
-                    while sent < len(wire) and sent - received < depth:
-                        sock.sendall(wire[sent])
-                        sent += 1
-                    status, headers, raw = _read_http_response(reader)
-                    if not 200 <= status < 300:
-                        try:
-                            payload = json.loads(raw.decode("utf-8"))
-                        except (ValueError, UnicodeDecodeError):
-                            payload = {"error": raw.decode("utf-8", "replace")}
-                        raise ServeClientError(
-                            f"pipelined POST /v1/infer -> HTTP {status}: "
-                            f"{payload.get('error', 'unknown error')}",
-                            status=status, payload=payload,
-                        )
-                    results.append(json.loads(raw.decode("utf-8")))
-                    received += 1
-                    if (
-                        headers.get("connection", "").lower() == "close"
-                        and received < len(wire)
-                    ):
-                        raise ServeClientError(
-                            "server closed a pipelined connection with "
-                            f"{len(wire) - received} responses outstanding",
-                            status=0, transport=True,
-                        )
-            except (OSError, ValueError) as exc:
-                raise ServeClientError(
-                    f"pipelined POST /v1/infer -> {type(exc).__name__}: {exc}",
-                    status=0, transport=True,
-                ) from exc
-            finally:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-        telemetry.count("client.pipelined", len(results))
-        return results
 
     # -- registry ------------------------------------------------------------
     def models(self) -> dict:
@@ -446,7 +346,7 @@ class ServeClient:
             resp_headers = {
                 key.lower(): value for key, value in response.getheaders()
             }
-            if response.will_close or not self.keep_alive:
+            if response.will_close:
                 self._drop_connection()
             return response.status, resp_headers, raw
         raise AssertionError("unreachable")  # pragma: no cover
@@ -544,7 +444,7 @@ class ServeClient:
                 status=0, transport=True,
             ) from exc
         # A callable body yields a fresh (file object, length) per attempt
-        # (the streaming-upload path); http.client streams the file as-is
+        # (the file-upload path); http.client streams the file as-is
         # once Content-Length is set explicitly.
         opened = None
         headers: dict = {}
@@ -597,47 +497,3 @@ class ServeClient:
             f"{payload.get('error', 'unknown error')}",
             status=status, payload=payload,
         )
-
-
-def _read_http_response(reader) -> tuple[int, dict, bytes]:
-    """Parse one HTTP/1.1 response off a buffered reader (pipelining path).
-
-    ``http.client`` refuses to send a second request before the first
-    response is read, so the pipelined path writes raw requests and parses
-    responses here — status line, headers to the blank line, then exactly
-    ``Content-Length`` body bytes, leaving the reader positioned at the
-    next response.
-    """
-    line = reader.readline()
-    if not line:
-        raise ServeClientError(
-            "connection closed before a pipelined response",
-            status=0, transport=True,
-        )
-    parts = line.decode("latin-1").split(None, 2)
-    if len(parts) < 2 or not parts[1].isdigit():
-        raise ServeClientError(
-            f"malformed pipelined status line: {line!r}",
-            status=0, transport=True,
-        )
-    status = int(parts[1])
-    headers: dict = {}
-    while True:
-        line = reader.readline()
-        if not line:
-            raise ServeClientError(
-                "connection closed inside pipelined response headers",
-                status=0, transport=True,
-            )
-        if line in (b"\r\n", b"\n"):
-            break
-        key, _, value = line.decode("latin-1").partition(":")
-        headers[key.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0"))
-    raw = reader.read(length) if length else b""
-    if len(raw) < length:
-        raise ServeClientError(
-            f"pipelined response truncated ({len(raw)}/{length} bytes)",
-            status=0, transport=True,
-        )
-    return status, headers, raw

@@ -12,12 +12,13 @@ Stdlib-only (``http.server.ThreadingHTTPServer`` + ``json``).  Endpoints:
     unregistered model, 429 + ``Retry-After`` when the queue sheds, 503
     while draining, 504 past the deadline.
 
-    ``?stream=1`` — or any CSV body larger than ``STREAM_BODY_BYTES`` —
-    profiles the upload incrementally on the handler thread through
-    :mod:`repro.sketch`: the body is read in bounded pieces straight into
-    per-column sketches, so handler memory stays flat no matter how large
-    the (still ``MAX_BODY_BYTES``-capped) upload is.  Only CSV bodies
-    stream; ``stream=1`` with a JSON body is a 400.
+    Every body is profiled on the handler thread through
+    :mod:`repro.sketch`: a CSV body is read in bounded pieces straight
+    into per-column sketches (decoded exactly as
+    :func:`~repro.tabular.csv_io.decode_csv_bytes` decodes a file), so
+    handler memory stays flat no matter how large the (still
+    ``MAX_BODY_BYTES``-capped) upload is; a JSON body, validated by
+    :func:`table_from_json`, enters the same profiler as one chunk.
 
 ``POST /v1/models/<name>/infer``
     Same as ``/v1/infer`` with the model route in the path (the path wins
@@ -51,7 +52,9 @@ Stdlib-only (``http.server.ThreadingHTTPServer`` + ``json``).  Endpoints:
     /metrics.json`` — returns the raw JSON snapshot instead.
 
 A response sent before the request body was read carries ``Connection:
-close``: the unread bytes must not be parsed as the next request.
+close``: the unread bytes must not be parsed as the next request.  A body
+within ``MAX_BODY_BYTES`` is read and discarded first, so a client still
+sending it gets the answer instead of a broken pipe.
 
 Every ``POST /v1/infer`` honors an incoming W3C ``traceparent`` header:
 the server's spans join the caller's trace, and the trace id is echoed in
@@ -79,19 +82,18 @@ from repro.obs import (
 from repro.serve.batching import QueueFullError, ServiceClosedError
 from repro.serve.registry import SwapInProgressError, UnknownModelError
 from repro.serve.service import InferenceService
-from repro.sketch import StreamingProfiler
 from repro.tabular.column import Column
-from repro.tabular.csv_io import CSVReadError, iter_csv_chunks, read_csv_text
+from repro.tabular.csv_io import (
+    CSVChunk,
+    CSVReadError,
+    iter_csv_chunks,
+    read_csv_text,
+)
 from repro.tabular.table import Table
 
 MAX_BODY_BYTES = 64 * 1024 * 1024  # one upload, not a data lake
 
-#: CSV bodies at/above this size stream through the sketch profiler even
-#: without ``?stream=1`` — buffering them whole would multiply the body
-#: size by the decoded-text + split-rows overhead per concurrent handler.
-STREAM_BODY_BYTES = 8 * 1024 * 1024
-
-#: Bytes per ``rfile.read`` on the streamed path.
+#: Bytes per ``rfile.read`` of a CSV body (and of a discarded one).
 STREAM_READ_BYTES = 1 << 16
 
 #: ``POST /v1/models/<name>/(infer|swap)`` — the model route in the path.
@@ -160,8 +162,13 @@ class ServeHandler(BaseHTTPRequestHandler):
     # joining handler threads.
     timeout = 30
     # True while the current request's body is (partly) unread; any
-    # response sent then closes the connection (see _send_body).
+    # response sent then discards the rest of a body within MAX_BODY_BYTES
+    # and closes the connection (see _send_body).
     _body_pending = False
+    # The declared Content-Length (-1 when unparseable), and how many of
+    # those bytes are still unread.
+    _length = 0
+    _unread = 0
 
     @property
     def service(self) -> InferenceService:
@@ -198,7 +205,13 @@ class ServeHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         # A malformed/absent traceparent means "start fresh", never an error.
         context = TraceContext.from_traceparent(self.headers.get("traceparent"))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        self._length = length
         self._body_pending = True
+        self._unread = length if 0 < length <= MAX_BODY_BYTES else 0
         with use_context(context):
             self._handle_post(context)
 
@@ -233,57 +246,38 @@ class ServeHandler(BaseHTTPRequestHandler):
                 503, {"error": "server is draining"}, trace_id=trace_id
             )
             return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
+        length = self._length
         if length <= 0 or length > MAX_BODY_BYTES:
             self._send_json(
                 413 if length > MAX_BODY_BYTES else 400,
                 {"error": f"Content-Length must be in (0, {MAX_BODY_BYTES}]"},
             )
             return
-        name = self._query_value(parsed, "table") or "upload"
-        kind = (
-            (self.headers.get("Content-Type") or "text/csv")
-            .split(";")[0].strip().lower()
-        )
         try:
             deadline_s = self._deadline_s(parsed)
-            stream = self._stream_requested(parsed)
-            if stream and kind == "application/json":
-                raise BadRequestError("stream=1 requires a CSV body")
         except BadRequestError as exc:
             telemetry.count("serve.bad_request")
             self._send_json(400, {"error": str(exc)}, trace_id=trace_id)
             return
-        if stream or (kind != "application/json" and length >= STREAM_BODY_BYTES):
-            self._handle_streamed_infer(
-                name, length, deadline_s, trace_id, model_name
-            )
-            return
-        body = self._read_body(length)
-        try:
-            table = parse_table(
-                self.headers.get("Content-Type", ""), body, name=name
-            )
-        except BadRequestError as exc:
-            telemetry.count("serve.bad_request")
-            self._send_json(400, {"error": str(exc)}, trace_id=trace_id)
-            return
-        request = self._submit_infer(
-            table.name, deadline_s, trace_id, table=table,
-            model_name=model_name,
-        )
-        if request is not None:
-            self._finish_infer(request, table.name, deadline_s, trace_id)
+        name = self._query_value(parsed, "table") or "upload"
+        content_type = self.headers.get("Content-Type") or "text/csv"
+        if content_type.split(";")[0].strip().lower() == "application/json":
+            try:
+                table = parse_table(content_type, self._read_body(length))
+            except BadRequestError as exc:
+                telemetry.count("serve.bad_request")
+                self._send_json(400, {"error": str(exc)}, trace_id=trace_id)
+                return
+            name = table.name
+            rows = list(zip(*(column.cells for column in table)))
+            chunks = [CSVChunk(header=table.column_names, rows=rows)]
+        else:
+            chunks = iter_csv_chunks(self._body_pieces(), name=name)
+        self._infer(chunks, name, deadline_s, trace_id, model_name)
 
     def _handle_swap(self, model_name: str, trace_id: str | None) -> None:
         """``POST /v1/models/<name>/swap``: hot-swap one model's artifact."""
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
+        length = self._length
         if length <= 0 or length > MAX_BODY_BYTES:
             self._send_json(
                 400, {"error": "swap needs a JSON body with a model path"},
@@ -380,83 +374,48 @@ class ServeHandler(BaseHTTPRequestHandler):
             trace_id=trace_id,
         )
 
-    def _handle_streamed_infer(
+    def _body_pieces(self):
+        """The request body in ``STREAM_READ_BYTES`` reads."""
+        length = self._length
+        while self._unread > 0:
+            piece = self.rfile.read(min(STREAM_READ_BYTES, self._unread))
+            if not piece:
+                raise CSVReadError(
+                    f"connection closed mid-upload "
+                    f"({length - self._unread} of {length} bytes)"
+                )
+            self._unread -= len(piece)
+            if not self._unread:
+                self._body_pending = False
+            yield piece
+
+    def _infer(
         self,
+        chunks,
         name: str,
-        length: int,
         deadline_s: float | None,
         trace_id: str | None,
-        model_name: str | None = None,
+        model_name: str | None,
     ) -> None:
-        """Profile a CSV body incrementally, then enqueue the profiles.
-
-        The body is read in ``STREAM_READ_BYTES`` pieces straight into
-        :class:`~repro.sketch.StreamingProfiler` on this handler thread —
-        nowhere does the raw upload (or the materialized table) exist in
-        one piece.
-        """
-        telemetry.count("serve.stream_request")
-        profiler = StreamingProfiler(
-            source_file=name,
-            scan_cache_max_values=self.service.scan_cache_max_values,
-        )
-
-        def pieces():
-            remaining = length
-            while remaining > 0:
-                piece = self.rfile.read(min(STREAM_READ_BYTES, remaining))
-                if not piece:
-                    raise CSVReadError(
-                        f"connection closed mid-upload "
-                        f"({length - remaining} of {length} bytes)"
-                    )
-                remaining -= len(piece)
-                if not remaining:
-                    self._body_pending = False
-                yield piece
-
+        """Profile and submit through the service; answer every outcome."""
         try:
-            with telemetry.span("serve.stream_profile", table=name):
-                for chunk in iter_csv_chunks(pieces(), name=name):
-                    profiler.consume(chunk)
-                profiles = profiler.profiles()
+            request = self.service.infer(
+                chunks, table_name=name, deadline_s=deadline_s,
+                model_name=model_name,
+            )
         except (CSVReadError, ProfileError) as exc:
+            # The upload's bytes or content defeated ingestion: the
+            # client's data, not a server fault.
             telemetry.count("serve.bad_request")
             self._send_json(400, {"error": str(exc)}, trace_id=trace_id)
             return
-        request = self._submit_infer(
-            name, deadline_s, trace_id, profiles=profiles,
-            model_name=model_name,
-        )
-        if request is not None:
-            self._finish_infer(request, name, deadline_s, trace_id)
-
-    def _submit_infer(
-        self,
-        name: str,
-        deadline_s: float | None,
-        trace_id: str | None,
-        table: Table | None = None,
-        profiles: list | None = None,
-        model_name: str | None = None,
-    ):
-        """Submit to the service; on shed/drain/404, answer and return None."""
-        try:
-            if table is not None:
-                return self.service.infer(
-                    table, deadline_s=deadline_s, model_name=model_name
-                )
-            return self.service.infer_profiles(
-                profiles, table_name=name, deadline_s=deadline_s,
-                model_name=model_name,
-            )
         except UnknownModelError as exc:
             telemetry.count("serve.unknown_model")
             self._send_json(
                 404, {"error": str(exc), "models": exc.known},
                 trace_id=trace_id,
             )
-            return None
+            return
         except QueueFullError as exc:
             # A shed request without an incoming traceparent still has the
             # server-minted trace id (carried on the exception).
@@ -471,12 +430,13 @@ class ServeHandler(BaseHTTPRequestHandler):
                 headers={"Retry-After": str(max(1, round(exc.retry_after_s)))},
                 trace_id=trace_id,
             )
-            return None
+            return
         except ServiceClosedError:
             self._send_json(
                 503, {"error": "server is draining"}, trace_id=trace_id
             )
-            return None
+            return
+        self._finish_infer(request, name, deadline_s, trace_id)
 
     def _finish_infer(
         self, request, name: str, deadline_s: float | None,
@@ -505,15 +465,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             )
             return
         if request.error is not None:
-            if isinstance(request.error, ProfileError):
-                # The upload's *content* defeated featurization — that is
-                # the client's data, not a server fault.
-                telemetry.count("serve.bad_request")
-                status = 400
-            elif "deadline" in str(request.error).lower():
-                status = 504
-            else:
-                status = 500
+            status = 504 if "deadline" in str(request.error).lower() else 500
             self._send_json(
                 status, {"error": str(request.error)}, trace_id=trace_id
             )
@@ -538,17 +490,6 @@ class ServeHandler(BaseHTTPRequestHandler):
         )
 
     # -- plumbing ------------------------------------------------------------
-    def _stream_requested(self, parsed) -> bool:
-        raw = self._query_value(parsed, "stream")
-        if raw is None:
-            return False
-        value = raw.strip().lower()
-        if value in ("1", "true", "yes", "on"):
-            return True
-        if value in ("0", "false", "no", "off", ""):
-            return False
-        raise BadRequestError(f"stream is not a boolean: {raw!r}")
-
     def _deadline_s(self, parsed) -> float | None:
         raw = self._query_value(parsed, "deadline_ms") or self.headers.get(
             "X-Deadline-Ms"
@@ -566,7 +507,21 @@ class ServeHandler(BaseHTTPRequestHandler):
     def _read_body(self, length: int) -> bytes:
         body = self.rfile.read(length)
         self._body_pending = False
+        self._unread = 0
         return body
+
+    def _discard_body(self) -> None:
+        """Read and drop what is left of a body within ``MAX_BODY_BYTES``,
+        so a client still sending it reads the answer instead of failing
+        its write on a closed socket."""
+        try:
+            while self._unread > 0:
+                piece = self.rfile.read(min(STREAM_READ_BYTES, self._unread))
+                if not piece:
+                    break
+                self._unread -= len(piece)
+        except OSError:
+            pass  # client gone or stalled: the close below still happens
 
     @staticmethod
     def _query_value(parsed, key: str) -> str | None:
@@ -613,12 +568,14 @@ class ServeHandler(BaseHTTPRequestHandler):
             except OSError:
                 pass
             return
+        if self._body_pending:
+            self._discard_body()
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self._body_pending:
             # Answered before the request body was read: on a keep-alive
-            # reuse the leftover bytes would parse as the next request line.
+            # reuse any leftover bytes would parse as the next request line.
             self.close_connection = True
             self.send_header("Connection", "close")
         for key, value in (headers or {}).items():

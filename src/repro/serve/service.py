@@ -2,11 +2,13 @@
 
 :class:`InferenceService` is the transport-independent core of
 ``repro-serve``: the HTTP layer (``serve/http.py``) and the in-process tests
-both drive it through :meth:`infer`.  Its batch runner flattens every column
-of every request in a batch through one ``profile_columns`` call (which is
-one ``compute_stats_batch`` character-scan, deduped across requests by a
-shared :class:`~repro.core.stats.StatsScanCache`) and one
-``predict_proba`` call, then splits the predictions back per request.
+both drive it through :meth:`infer`, which profiles an upload's CSV chunks
+on the calling thread through :class:`~repro.sketch.StreamingProfiler`
+(against one :class:`~repro.core.stats.StatsScanCache` shared by every
+request, so repeated values are scanned once) and submits the profiles.
+The batch runner flattens every profile of every request in a batch
+through one ``predict_proba`` call per model, then splits the predictions
+back per request.
 
 Degradation: while the registry is still loading (or failed), batches are
 answered by the paper's 11-rule flowchart baseline with ``degraded: true``
@@ -21,13 +23,12 @@ import contextlib
 import time
 
 from repro.core.pipeline import ColumnPrediction, TypeInferencePipeline
-from repro.core.featurize import profile_columns
 from repro.core.stats import StatsScanCache
 from repro.obs import span_context, telemetry, use_context
 from repro.serve.batching import InferenceRequest, MicroBatcher, QueueFullError
 from repro.serve.registry import ModelRegistry, UnknownModelError
+from repro.sketch import StreamingProfiler
 from repro.tabular.column import Column
-from repro.tabular.table import Table
 from repro.tools.rules import RuleBaselineTool
 
 #: Default maximum distinct cell values resident in the cross-request scan
@@ -65,6 +66,8 @@ class InferenceService:
             queue_limit=queue_limit,
         )
         self._fallback = RuleBaselineTool()
+        # One scan cache for every handler's profiler, so repeated values
+        # are scanned once across requests.
         self._scan_cache = StatsScanCache(
             max_values=self.scan_cache_max_values, metric_prefix="serve"
         )
@@ -85,75 +88,68 @@ class InferenceService:
     # -- request path --------------------------------------------------------
     def infer(
         self,
-        table: Table,
+        chunks,
+        table_name: str = "upload",
         deadline_s: float | None = None,
         model_name: str | None = None,
     ) -> InferenceRequest:
-        """Submit a table and block until result or deadline.
+        """Profile an upload's CSV chunks, submit the profiles, and block
+        until result or deadline.
+
+        ``chunks`` is an iterable of :class:`~repro.tabular.csv_io.CSVChunk`
+        (what :func:`~repro.tabular.csv_io.iter_csv_chunks` yields); they
+        stream through one :class:`~repro.sketch.StreamingProfiler` on the
+        calling thread, against the service's shared scan cache, so only
+        the finished profiles and the first chunk's raw rows (for the
+        degraded answer) reach the batcher.  Unreadable or unfeaturizable
+        input raises :class:`~repro.tabular.csv_io.CSVReadError` /
+        :class:`~repro.core.featurize.ProfileError` (HTTP 400).
 
         ``model_name`` routes the request to one registry entry (None → the
         default model); an unregistered name raises
-        :class:`~repro.serve.registry.UnknownModelError` at submission time
-        (the HTTP layer maps that to 404).  Raises
+        :class:`~repro.serve.registry.UnknownModelError` before any chunk is
+        read (HTTP 404).  Raises
         :class:`~repro.serve.batching.QueueFullError` /
         :class:`~repro.serve.batching.ServiceClosedError` at submission
-        time; a request whose deadline passes is returned with
-        ``predictions is None`` (the HTTP layer maps that to 504).
+        time; the deadline starts at submission, and a request whose
+        deadline passes is returned with ``predictions is None`` (HTTP 504).
         """
-        return self._submit_and_wait(
-            table=table, profiles=None, table_name=table.name,
-            n_columns=len(table.column_names), deadline_s=deadline_s,
-            model_name=model_name,
-        )
-
-    def infer_profiles(
-        self,
-        profiles: list,
-        table_name: str = "",
-        deadline_s: float | None = None,
-        model_name: str | None = None,
-    ) -> InferenceRequest:
-        """Submit pre-built column profiles (the streamed-upload path).
-
-        The HTTP handler profiles a streamed body chunk by chunk through
-        :class:`~repro.sketch.StreamingProfiler` as it arrives; only the
-        finished profiles are enqueued, so batcher memory stays independent
-        of the upload size.  Same blocking/shedding/routing semantics as
-        :meth:`infer`.
-        """
-        return self._submit_and_wait(
-            table=None, profiles=profiles, table_name=table_name,
-            n_columns=len(profiles), deadline_s=deadline_s,
-            model_name=model_name,
-        )
-
-    def _submit_and_wait(
-        self, table, profiles, table_name, n_columns, deadline_s,
-        model_name=None,
-    ) -> InferenceRequest:
-        # Route validation happens before enqueue so an unknown model is a
+        # Route validation happens first so an unknown model is a
         # synchronous 404, not a failed batch.
         self.registry.resolve(model_name)
         if deadline_s is None:
             deadline_s = self.default_deadline_s
-        deadline = (
-            time.monotonic() + deadline_s if deadline_s and deadline_s > 0
-            else None
-        )
         telemetry.count("serve.request")
-        telemetry.count("serve.request_columns", n_columns)
         with telemetry.span(
-            "serve.request", table=table_name, n_columns=n_columns,
-            streamed=table is None, model=model_name or "",
+            "serve.request", table=table_name, model=model_name or "",
         ) as span:
+            started = time.perf_counter()
+            profiler = StreamingProfiler(
+                source_file=table_name, scan_cache=self._scan_cache
+            )
+            head = None
+            with telemetry.span("serve.profile", table=table_name) as profile:
+                for chunk in chunks:
+                    if head is None:
+                        head = chunk
+                    profiler.consume(chunk)
+                profiles = profiler.profiles()
+                profile.set(n_columns=len(profiles))
+            profile_ms = 1000.0 * (time.perf_counter() - started)
+            span.set(n_columns=len(profiles))
+            telemetry.count("serve.request_columns", len(profiles))
+            deadline = (
+                time.monotonic() + deadline_s if deadline_s and deadline_s > 0
+                else None
+            )
             # The request's trace context must ride INTO submit(): the
             # batcher worker may pick the request up before this thread
             # runs another line, so stamping it afterwards would race.
             try:
                 request = self.batcher.submit(
-                    table, deadline=deadline, trace=span_context(span),
-                    profiles=profiles, table_name=table_name,
-                    model_name=model_name,
+                    profiles, deadline=deadline, trace=span_context(span),
+                    head=head, table_name=table_name, model_name=model_name,
+                    profile_ms=profile_ms,
                 )
             except QueueFullError as exc:
                 # No request object survives a shed; carry the trace id on
@@ -188,9 +184,9 @@ class InferenceService:
         n_columns = sum(r.n_columns for r in live)
         # The batch span runs on the batcher worker thread, where the span
         # stack is empty — adopt the first member's trace so the tree is
-        # request → queue_wait / batch → profile/predict.  A multi-request
-        # batch has one parent slot; the other members' trace ids are kept
-        # as an attribute so nothing is unattributable.
+        # request → queue_wait / batch → predict.  A multi-request batch
+        # has one parent slot; the other members' trace ids are kept as an
+        # attribute so nothing is unattributable.
         trace = next((r.trace for r in live if r.trace is not None), None)
         extra = {}
         if len(live) > 1:
@@ -205,77 +201,22 @@ class InferenceService:
                 name: stack.enter_context(entry.lease())
                 for name, (entry, _) in groups.items()
             }
-            degraded_groups = [
-                name for name, lease in leases.items() if lease.model is None
-            ]
             with use_context(trace), telemetry.span(
                 "serve.batch", n_requests=len(live), n_columns=n_columns,
-                models=sorted(groups), degraded=bool(degraded_groups),
+                models=sorted(groups),
+                degraded=any(lease.model is None for lease in leases.values()),
                 **extra,
             ):
-                primary = [
-                    request
-                    for name, (_, members) in groups.items()
-                    if leases[name].model is not None
-                    for request in members
-                ]
-                profiles_by_request = self._profile_requests(primary)
                 for name, (_, members) in groups.items():
                     lease = leases[name]
                     if lease.model is None:
                         self._run_degraded(members)
                     else:
-                        self._run_primary(
-                            members, lease, profiles_by_request
-                        )
+                        self._run_primary(members, lease)
 
-    def _profile_requests(
-        self, batch: list[InferenceRequest]
-    ) -> dict[int, list]:
-        """One shared ``profile_columns`` scan across every model group.
-
-        Profiles are model-agnostic, so a mixed-model batch still amortizes
-        a single character scan; only the ``predict_proba`` call is per
-        model.  Returns ``id(request) → its profiles``.
-        """
-        if not batch:
-            return {}
-        # Table requests share one profile_columns scan; streamed requests
-        # arrive pre-profiled and just slot into the prediction.
-        table_requests = [r for r in batch if r.table is not None]
-        columns = [
-            column for request in table_requests for column in request.table
-        ]
-        profiles_by_request: dict[int, list] = {}
-        if columns:
-            with telemetry.span("serve.profile", n_columns=len(columns)):
-                profiled = profile_columns(columns, scan_cache=self._scan_cache)
-            # Stamp provenance per request (profile_columns took the flat
-            # list).
-            offset = 0
-            for request in table_requests:
-                chunk = profiled[offset:offset + request.n_columns]
-                for profile in chunk:
-                    profile.source_file = request.table.name
-                profiles_by_request[id(request)] = chunk
-                offset += request.n_columns
-        for request in batch:
-            if request.table is None:
-                for profile in request.profiles:
-                    profile.source_file = request.table_name
-                profiles_by_request[id(request)] = request.profiles
-        return profiles_by_request
-
-    def _run_primary(
-        self,
-        batch: list[InferenceRequest],
-        lease,
-        profiles_by_request: dict[int, list],
-    ) -> None:
+    def _run_primary(self, batch: list[InferenceRequest], lease) -> None:
         model = lease.model
-        profiles = []
-        for request in batch:
-            profiles.extend(profiles_by_request[id(request)])
+        profiles = [p for request in batch for p in request.profiles]
         pipeline = TypeInferencePipeline(model)
         label = getattr(model, "name", type(model).__name__)
         with telemetry.span(
@@ -292,27 +233,22 @@ class InferenceService:
             offset += request.n_columns
 
     def _run_degraded(self, batch: list[InferenceRequest]) -> None:
+        """The 11-rule flowchart over each upload's first chunk: every row
+        of an upload of up to ``DEFAULT_CHUNK_ROWS`` rows (and of any JSON
+        body), the first ``DEFAULT_CHUNK_ROWS`` rows of a larger one."""
         telemetry.count("serve.degraded_batches")
         for request in batch:
-            if request.table is not None:
-                columns = list(request.table)
-            else:
-                # Streamed request during a cold start: the raw cells are
-                # gone, so the rules see each column's five sample values —
-                # a documented approximation of the degraded answer (the
-                # flowchart mostly keys on value syntax, which the samples
-                # carry).
-                columns = [
-                    Column(profile.name, list(profile.samples))
-                    for profile in request.profiles
-                ]
+            head = request.head
+            cells = list(zip(*head.rows)) or [()] * len(head.header)
             predictions = [
                 ColumnPrediction(
-                    column=column.name,
-                    feature_type=self._fallback.infer_column(column),
+                    column=name,
+                    feature_type=self._fallback.infer_column(
+                        Column(name, column)
+                    ),
                     confidence=FALLBACK_CONFIDENCE,
                 )
-                for column in columns
+                for name, column in zip(head.header, cells)
             ]
             request.complete(
                 predictions, model=self._fallback.name, degraded=True

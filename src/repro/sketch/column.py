@@ -4,7 +4,9 @@
 :func:`repro.core.stats.compute_stats_batch`, built from the same two
 steps: each chunk that arrives through :meth:`ColumnSketch.update` is
 tallied by :func:`~repro.core.stats.tally_columns` and added to the
-sketch's running totals, shard sketches combine through
+sketch's running totals (:class:`~repro.sketch.StreamingProfiler` tallies
+the columns of a chunk together, through :meth:`ColumnSketch.admit` and
+:meth:`ColumnSketch.add_tally`), shard sketches combine through
 :meth:`ColumnSketch.merge` (order-independently), and
 :meth:`ColumnSketch.finalize` hands the totals to
 :func:`~repro.core.stats.finalize_stats`.
@@ -24,7 +26,7 @@ capped at ``sample_k``, and the moment accumulators are O(1).  The
 per-chunk scan reuses the LUT/segment-sum kernel through a shared
 :class:`~repro.core.stats.StatsScanCache`, which trims itself past its
 ``max_values`` in :meth:`~repro.core.stats.StatsScanCache.end_batch` at
-the end of every :meth:`ColumnSketch.update`.
+the end of every tally.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 
 from repro.core.moments import ExactMoments
 from repro.core.stats import (
+    ColumnTally,
     DescriptiveStats,
     StatsScanCache,
     finalize_stats,
@@ -116,6 +119,24 @@ class ColumnSketch:
         column; it defaults to sequential growth (``self.n_total``).  Shard
         sketches that will be merged must pass their true offsets so the
         "head" sample order is global, not per-shard.
+
+        A :class:`~repro.sketch.StreamingProfiler` tallies the columns of a
+        chunk together; this is the same two steps for one column.
+        """
+        present = self.admit(cells, cell_offset)
+        if not present:
+            return
+        cache = scan_cache if scan_cache is not None else StatsScanCache()
+        self.add_tally(
+            tally_columns(present, np.array([len(present)]), cache), 0
+        )
+        cache.end_batch()
+
+    def admit(self, cells, cell_offset: int | None = None) -> list[str]:
+        """Count a chunk of raw cells, track its head samples and distinct
+        values, and return its present cells for
+        :func:`~repro.core.stats.tally_columns`, whose result goes to
+        :meth:`add_tally`.  Arguments as for :meth:`update`.
         """
         if cell_offset is None:
             cell_offset = self.n_total
@@ -145,29 +166,19 @@ class ColumnSketch:
             distinct.update(dict.fromkeys(present))
             if len(distinct) > self.config.distinct_cap:
                 self._spill_distinct()
-
-        if not present:
-            return
-        cache = scan_cache if scan_cache is not None else StatsScanCache()
-        interned = cache.value_index.__getitem__
-        code_arr = np.fromiter(
-            map(interned, present), count=len(present), dtype=np.intp
-        )
-        cache.scan_novel()
-        # The batch kernel's accumulate step over a batch of one column:
-        # every total is exact, so chunked accumulation equals the whole
-        # column's.
-        tally = tally_columns(
-            code_arr, np.array([len(present)]), cache.counts, cache.parsed
-        )
-        cache.mark_hits(tally.code)
-        for j in range(5):
-            self._count_sums[j] += int(tally.sums[j, 0])
-            self._count_sumsqs[j] += int(tally.sumsq[j, 0])
-        self._moments.merge(tally.moments[0])
         if telemetry.enabled:
             telemetry.count("sketch.cells", len(cells))
-        cache.end_batch()
+        return present
+
+    def add_tally(self, tally: ColumnTally, i: int) -> None:
+        """Add column ``i`` of a :func:`~repro.core.stats.tally_columns`
+        result to the running totals.  Every total is exact, so chunked
+        accumulation equals the whole column's.
+        """
+        for j in range(5):
+            self._count_sums[j] += int(tally.sums[j, i])
+            self._count_sumsqs[j] += int(tally.sumsq[j, i])
+        self._moments.merge(tally.moments[i])
 
     def _spill_distinct(self) -> None:
         """Stop tracking distinct values; report exactly the cap from now on.

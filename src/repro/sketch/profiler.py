@@ -14,15 +14,20 @@ cap, independent of the number of rows.
 from __future__ import annotations
 
 import os
+from itertools import chain
+
+import numpy as np
 
 from repro.core.featurize import _KERNEL_ERRORS, ColumnProfile, ProfileError
-from repro.core.stats import StatsScanCache
+from repro.core.stats import StatsScanCache, tally_columns
 from repro.obs import telemetry
 from repro.sketch.column import ColumnSketch, SketchConfig
 from repro.tabular.csv_io import CSVChunk, iter_csv_chunks
 
-#: Rows gathered per CSV chunk: large enough to amortize the vectorized
-#: scan, small enough that a chunk of wide text rows stays a few MB.
+#: Rows gathered per CSV chunk, and present cells per tally group of
+#: :meth:`StreamingProfiler.consume`: large enough to amortize the
+#: vectorized scan, small enough that a chunk of wide text rows stays a few
+#: MB and a tally's row-sized temporaries stay those of one column chunk.
 DEFAULT_CHUNK_ROWS = 16_384
 
 #: Maximum distinct cell values resident in the shared scan cache (see
@@ -34,11 +39,18 @@ DEFAULT_SCAN_CACHE_MAX_VALUES = 200_000
 class StreamingProfiler:
     """Accumulate column sketches chunk by chunk; finalize to profiles.
 
-    The profiler owns the shared :class:`~repro.core.stats.StatsScanCache`
-    (trimmed past ``scan_cache_max_values`` interned values) and the
-    global row counter that keeps "head" sample order exact across chunks.
-    ``row_offset`` seeds that counter for shard profilers whose
-    :meth:`merge` results must behave as if one profiler saw every row.
+    Each chunk's columns are tallied together, in groups of at most
+    :data:`DEFAULT_CHUNK_ROWS` present cells (a column with more is a
+    group of its own), through the batch kernel's own accumulate step
+    :func:`~repro.core.stats.tally_columns` against one
+    :class:`~repro.core.stats.StatsScanCache`.  The profiler owns that
+    cache (trimmed past ``scan_cache_max_values`` interned values) unless
+    ``scan_cache`` hands it a shared one, whose ``lock`` it holds per
+    :meth:`consume` and per :meth:`profiles` call.
+    The profiler also keeps the global row counter that keeps "head"
+    sample order exact across chunks.  ``row_offset`` seeds that counter
+    for shard profilers whose :meth:`merge` results must behave as if one
+    profiler saw every row.
     """
 
     def __init__(
@@ -47,10 +59,11 @@ class StreamingProfiler:
         config: SketchConfig | None = None,
         scan_cache_max_values: int = DEFAULT_SCAN_CACHE_MAX_VALUES,
         row_offset: int = 0,
+        scan_cache: StatsScanCache | None = None,
     ):
         self.source_file = source_file
         self.config = config if config is not None else SketchConfig()
-        self._cache = StatsScanCache(
+        self._cache = scan_cache if scan_cache is not None else StatsScanCache(
             max_values=scan_cache_max_values, metric_prefix="sketch"
         )
         self._sketches: list[ColumnSketch] | None = None
@@ -88,22 +101,50 @@ class StreamingProfiler:
             source=self.source_file,
             index=self._n_chunks,
             n_rows=len(rows),
-        ):
+        ), self._cache.lock:
+            group: list[tuple[ColumnSketch, list[str]]] = []
+            n_cells = 0
             for sketch, cells in zip(self._sketches, zip(*rows)):
-                try:
-                    sketch.update(
-                        cells, scan_cache=self._cache, cell_offset=offset
-                    )
-                except _KERNEL_ERRORS as exc:
-                    raise ProfileError(
-                        f"cannot featurize column {sketch.name!r}"
-                        f"{f' of {self.source_file!r}' if self.source_file else ''}: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
+                present = sketch.admit(cells, cell_offset=offset)
+                if group and n_cells + len(present) > DEFAULT_CHUNK_ROWS:
+                    self._tally(group)
+                    group, n_cells = [], 0
+                group.append((sketch, present))
+                n_cells += len(present)
+            self._tally(group)
         self._rows_seen += len(rows)
         self._n_chunks += 1
         telemetry.count("sketch.chunks")
         telemetry.count("sketch.rows", len(rows))
+
+    def _tally(self, group: list[tuple[ColumnSketch, list[str]]]) -> None:
+        """Tally one group of columns together and add each column's share
+        to its sketch."""
+        n_present = np.fromiter(
+            (len(present) for _, present in group), count=len(group),
+            dtype=np.intp,
+        )
+        if not n_present.any():
+            return
+        try:
+            tally = tally_columns(
+                chain.from_iterable(present for _, present in group),
+                n_present, self._cache,
+            )
+            self._cache.end_batch()
+        except _KERNEL_ERRORS as exc:
+            names = [sketch.name for sketch, _ in group]
+            raise self._error(names, exc) from exc
+        for i, (sketch, _) in enumerate(group):
+            sketch.add_tally(tally, i)
+
+    def _error(self, names: list[str], exc: BaseException) -> ProfileError:
+        where = f" of {self.source_file!r}" if self.source_file else ""
+        return ProfileError(
+            f"cannot featurize column{'s' if len(names) > 1 else ''} "
+            f"{', '.join(map(repr, names))}{where}: "
+            f"{type(exc).__name__}: {exc}"
+        )
 
     def merge(self, other: "StreamingProfiler") -> "StreamingProfiler":
         """Fold a shard profiler (disjoint row ranges, same header) in."""
@@ -132,23 +173,20 @@ class StreamingProfiler:
             raise ProfileError(
                 f"no CSV chunks consumed for {self.source_file!r}"
             )
-        probe_cache = self._cache.probe_cache
         out: list[ColumnProfile] = []
         with telemetry.span(
             "sketch.finalize",
             source=self.source_file,
             n_columns=len(self._sketches),
             n_rows=self._rows_seen,
-        ):
+        ), self._cache.lock:
             for sketch in self._sketches:
                 try:
-                    stats = sketch.finalize(probe_cache=probe_cache)
+                    stats = sketch.finalize(
+                        probe_cache=self._cache.probe_cache
+                    )
                 except _KERNEL_ERRORS as exc:
-                    raise ProfileError(
-                        f"cannot featurize column {sketch.name!r}"
-                        f"{f' of {self.source_file!r}' if self.source_file else ''}: "
-                        f"{type(exc).__name__}: {exc}"
-                    ) from exc
+                    raise self._error([sketch.name], exc) from exc
                 out.append(
                     ColumnProfile(
                         name=sketch.name,

@@ -83,6 +83,22 @@ def running_server(registry, start_batcher=True, **service_knobs):
         thread.join(timeout=5)
 
 
+def wait_for_queue(service, depth: int, timeout_s: float = 30.0) -> None:
+    """Block until ``depth`` requests wait in a stopped batcher's queue."""
+    end = time.monotonic() + timeout_s
+    while service.batcher.queue_depth < depth:
+        assert time.monotonic() < end, "requests never reached the queue"
+        time.sleep(0.01)
+
+
+def filler_profiles():
+    """Profiles of CSV_TEXT, for filling a queue by hand."""
+    from repro.core.featurize import profile_table
+    from repro.tabular.csv_io import read_csv_text
+
+    return profile_table(read_csv_text(CSV_TEXT, name="filler"))
+
+
 class TestSingleRequest:
     def test_parity_with_offline_pipeline(self, served_model):
         offline = [
@@ -126,7 +142,11 @@ class TestSingleRequest:
 class TestBatching:
     def test_concurrent_clients_get_batched(self, served_model):
         registry = ModelRegistry.preloaded(served_model)
-        with running_server(registry, max_wait_s=0.25) as (client, _):
+        # The batcher starts only once all six requests are queued, so the
+        # batch never depends on a gathering window.
+        with running_server(
+            registry, start_batcher=False, max_wait_s=0.0
+        ) as (client, service):
             responses: list[dict] = []
             errors: list[Exception] = []
 
@@ -139,6 +159,8 @@ class TestBatching:
             threads = [threading.Thread(target=fire) for _ in range(6)]
             for thread in threads:
                 thread.start()
+            wait_for_queue(service, 6)
+            service.batcher.start()
             for thread in threads:
                 thread.join(timeout=30)
         assert not errors
@@ -156,9 +178,8 @@ class TestBatching:
 class TestRobustness:
     def test_deadline_exceeded_maps_to_504(self, served_model):
         registry = ModelRegistry.preloaded(served_model)
-        # Gathering window far beyond the deadline: the request cannot be
-        # answered in time.
-        with running_server(registry, max_wait_s=2.0) as (client, _):
+        # The batcher never starts: the request cannot be answered in time.
+        with running_server(registry, start_batcher=False) as (client, _):
             with pytest.raises(ServeClientError) as exc_info:
                 client.infer_csv_text(CSV_TEXT, deadline_ms=40)
         assert exc_info.value.status == 504
@@ -170,11 +191,9 @@ class TestRobustness:
         with running_server(
             registry, start_batcher=False, queue_limit=2, max_wait_s=0.0
         ) as (client, service):
-            from repro.tabular.csv_io import read_csv_text
-
-            table = read_csv_text(CSV_TEXT, name="filler")
-            service.batcher.submit(table)
-            service.batcher.submit(table)
+            profiles = filler_profiles()
+            service.batcher.submit(profiles)
+            service.batcher.submit(profiles)
             # The default client would retry the 429 away; this test wants
             # to see the shed itself.
             one_shot = ServeClient(client.base_url, retry=None)
@@ -262,7 +281,9 @@ class TestTracing:
 
     def test_batch_span_lists_member_traces(self, served_model):
         registry = ModelRegistry.preloaded(served_model)
-        with running_server(registry, max_wait_s=0.25) as (client, _):
+        with running_server(
+            registry, start_batcher=False, max_wait_s=0.0
+        ) as (client, service):
             threads = [
                 threading.Thread(
                     target=lambda: client.infer_csv_text(CSV_TEXT, table="m")
@@ -271,6 +292,8 @@ class TestTracing:
             ]
             for thread in threads:
                 thread.start()
+            wait_for_queue(service, 4)
+            service.batcher.start()
             for thread in threads:
                 thread.join(timeout=30)
         batches = self._spans_by_name()["serve.batch"]
@@ -310,9 +333,7 @@ class TestTracing:
         with running_server(
             registry, start_batcher=False, queue_limit=1, max_wait_s=0.0
         ) as (client, service):
-            from repro.tabular.csv_io import read_csv_text
-
-            service.batcher.submit(read_csv_text(CSV_TEXT, name="filler"))
+            service.batcher.submit(filler_profiles())
             one_shot = ServeClient(client.base_url, retry=None)
             with pytest.raises(ServeClientError) as exc_info:
                 one_shot.infer_csv_text(CSV_TEXT, deadline_ms=5000)
@@ -505,6 +526,28 @@ class TestEarlyErrorKeepAlive:
         assert b"Connection: close" in head
         # Without the close, the leftover body came back as an HTML 400.
         assert rest == b""
+
+    @pytest.mark.parametrize("case", ["bad_deadline", "unknown_endpoint",
+                                      "unknown_model"])
+    def test_large_unread_body_still_gets_its_answer(self, served_model, case):
+        # A 4 MB body outlasts the socket buffers: answered and closed
+        # without reading it, the client's send fails (a broken pipe,
+        # status 0) before it ever reads the 4xx.
+        body = b"a,b\n" + b"1,2\n" * (1 << 20)
+        path, model, expected = {
+            "bad_deadline": ("/v1/infer?deadline_ms=-1", None, 400),
+            "unknown_endpoint": ("/v1/nope", None, 404),
+            "unknown_model": ("/v1/infer", "nope", 404),
+        }[case]
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            with ServeClient(client.base_url, retry=None) as one_shot:
+                with pytest.raises(ServeClientError) as exc_info:
+                    one_shot._request(
+                        "POST", path, body, "text/csv", model=model
+                    )
+            assert client.healthz()["ready"] is True
+        assert exc_info.value.status == expected
 
     def test_read_body_keeps_the_connection(self, served_model):
         registry = ModelRegistry.preloaded(served_model)
@@ -818,7 +861,7 @@ class TestCachePrune:
 
 
 class TestStreamedIngestion:
-    """``POST /v1/infer?stream=1``: profile the CSV body incrementally."""
+    """File uploads: the CSV body is profiled incrementally."""
 
     def test_streamed_predictions_match_buffered(self, served_model, tmp_path):
         path = tmp_path / "sample.csv"
@@ -829,7 +872,6 @@ class TestStreamedIngestion:
             streamed = client.infer_csv_file(path, table="sample")
         assert streamed["degraded"] is False
         assert streamed["predictions"] == buffered["predictions"]
-        assert telemetry.metrics.counter("serve.stream_request").value == 1
 
     def test_streamed_degraded_fallback(self, served_model, tmp_path):
         path = tmp_path / "sample.csv"
@@ -845,23 +887,6 @@ class TestStreamedIngestion:
         assert {p["column"] for p in response["predictions"]} == {
             "id", "salary", "state",
         }
-
-    def test_stream_flag_with_json_body_is_400(self, served_model):
-        import urllib.error
-        import urllib.request
-
-        registry = ModelRegistry.preloaded(served_model)
-        with running_server(registry, max_wait_s=0.0) as (client, _):
-            request = urllib.request.Request(
-                f"{client.base_url}/v1/infer?stream=1",
-                data=json.dumps({"table": "t", "columns": []}).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            with pytest.raises(urllib.error.HTTPError) as exc_info:
-                urllib.request.urlopen(request, timeout=5)
-            assert exc_info.value.code == 400
-            body = json.loads(exc_info.value.read())
-            assert "CSV body" in body["error"]
 
     def test_streamed_unreadable_body_is_400(self, served_model):
         import urllib.error
@@ -881,6 +906,195 @@ class TestStreamedIngestion:
                 urllib.request.urlopen(request, timeout=5)
             assert exc_info.value.code == 400
         assert telemetry.metrics.counter("serve.bad_request").value == 1
+
+
+def _rows(n: int) -> list[tuple[int, int, str]]:
+    return [(i, 1000 + 13 * i, ["CA", "TX", "NY", "WA"][i % 4]) for i in range(n)]
+
+
+#: CSV bodies the one ingestion path must answer exactly as the offline
+#: streamed profile of the same bytes.
+INGESTION_BODIES = {
+    "quoted_newlines": (
+        "id,note,state\n" + "\n".join(
+            f'{i},"line one\nline {i % 7}",{s}' for i, _, s in _rows(40)
+        )
+    ).encode("utf-8"),
+    "crlf": CSV_TEXT.replace("\n", "\r\n").encode("utf-8"),
+    "utf8_bom": b"\xef\xbb\xbf" + CSV_TEXT.encode("utf-8"),
+    "latin1": (
+        "id,city,amount\n" + "\n".join(
+            f"{i},{['Zürich', 'Malmö', 'Orléans'][i % 3]},{v}"
+            for i, v, _ in _rows(40)
+        )
+    ).encode("latin-1"),
+    "semicolon": CSV_TEXT.replace(",", ";").encode("utf-8"),
+    "missing_tokens": (
+        "id,salary,state\n" + "\n".join(
+            f"{i},{['NA', v, 'null', '?'][i % 4]},{[s, '', 'n/a'][i % 3]}"
+            for i, v, s in _rows(40)
+        )
+    ).encode("utf-8"),
+    "empty_column": (
+        "id,blank,state\n"
+        + "\n".join(f"{i},,{s}" for i, _, s in _rows(40))
+    ).encode("utf-8"),
+    "ragged": (
+        "id,salary,state\n" + "\n".join(
+            [f"{i},{v}" for i, v, _ in _rows(10)]
+            + [f"{i},{v},{s},extra" for i, v, s in _rows(30)]
+        )
+    ).encode("utf-8"),
+}
+
+
+class TestOneIngestionPath:
+    """Every body goes through the streaming profiler: CSV answers equal
+    the offline streamed profile of the same bytes, JSON answers equal
+    the table path, degraded answers see whole first chunks."""
+
+    @pytest.mark.parametrize("case", sorted(INGESTION_BODIES))
+    def test_csv_answers_match_streamed_profile(self, served_model, case):
+        import io
+
+        from repro.sketch import profile_csv_stream
+
+        body = INGESTION_BODIES[case]
+        expected = TypeInferencePipeline(served_model).predict_profiles(
+            profile_csv_stream(io.BytesIO(body), name=case)
+        )
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            # the raw bytes, as any HTTP client would send them
+            response = client._post_infer(body, "text/csv", table=case)
+        assert json.dumps(response["predictions"]) == json.dumps(
+            [p.as_dict() for p in expected]
+        )
+        if case == "utf8_bom":
+            assert response["predictions"][0]["column"] == "id"
+
+    def test_json_answers_match_table_path(self, served_model):
+        from repro.serve.http import parse_table
+
+        columns = [
+            {"name": "price", "cells": [9.99, 12.5, None, 3.1] * 10},
+            {"name": "flag", "cells": [True, False, None, True] * 10},
+            {"name": "count", "cells": [1, 2, 3, None] * 10},
+            {"name": "city", "cells": ["berlin", "NA", "lima", None] * 10},
+        ]
+        body = json.dumps({"table": "payload", "columns": columns}).encode()
+        expected = TypeInferencePipeline(served_model).predict_table(
+            parse_table("application/json", body)
+        )
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            response = client.infer_columns(columns, table="payload")
+        assert response["table"] == "payload"
+        assert json.dumps(response["predictions"]) == json.dumps(
+            [p.as_dict() for p in expected]
+        )
+
+    @staticmethod
+    def _rules(columns) -> list[dict]:
+        from repro.core.pipeline import ColumnPrediction
+        from repro.tools.rules import RuleBaselineTool
+
+        tool = RuleBaselineTool()
+        return [
+            ColumnPrediction(
+                column=column.name, feature_type=tool.infer_column(column),
+                confidence=0.5,
+            ).as_dict()
+            for column in columns
+        ]
+
+    def test_degraded_answers_see_the_first_chunk(self):
+        from repro.sketch import DEFAULT_CHUNK_ROWS
+        from repro.tabular.column import Column
+        from repro.tabular.csv_io import read_csv_text
+
+        def body(n):
+            return "id,price,date\n" + "\n".join(
+                f"{i},{v / 100:.2f},2020-01-{1 + i % 28:02d}"
+                for i, v, _ in _rows(n)
+            )
+
+        whole = body(DEFAULT_CHUNK_ROWS)
+        longer = body(DEFAULT_CHUNK_ROWS + 500)
+        columns = [
+            {"name": "price", "cells": ["9.99", "12.50", None, "3.10"] * 10},
+            {"name": "city", "cells": ["berlin", "oslo", "lima", "pune"] * 10},
+        ]
+        registry = ModelRegistry()  # never loads: every answer is degraded
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            answers = [
+                client.infer_csv_text(whole, table="whole"),
+                client.infer_csv_text(longer, table="longer"),
+                client.infer_columns(columns, table="payload"),
+            ]
+        assert all(a["degraded"] is True for a in answers)
+        assert answers[0]["predictions"] == self._rules(read_csv_text(whole))
+        head = "\n".join(longer.split("\n")[: DEFAULT_CHUNK_ROWS + 1])
+        assert answers[1]["predictions"] == self._rules(read_csv_text(head))
+        assert answers[2]["predictions"] == self._rules(
+            Column(c["name"], c["cells"]) for c in columns
+        )
+
+    def test_small_body_over_the_distinct_cap_spills_like_cli_stream(
+        self, served_model, served_model_path, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.sketch import DEFAULT_DISTINCT_CAP
+
+        text = "id,state\n" + "\n".join(
+            f"{i},{s}" for i, _, s in _rows(DEFAULT_DISTINCT_CAP + 4000)
+        )
+        assert len(text) < 8 * 1024 * 1024
+        path = tmp_path / "wide.csv"
+        path.write_text(text)
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            response = client.infer_csv_text(text, table="wide")
+        assert telemetry.metrics.counter("sketch.distinct_spilled").value == 1
+        assert main([str(path), "--model", str(served_model_path),
+                     "--stream", "--json"]) == 0
+        assert response["predictions"] == json.loads(capsys.readouterr().out)
+
+
+class TestInferCliServerUpload:
+    """``repro-infer --server`` uploads the file's bytes as-is; the server
+    decodes them as the local CLI does."""
+
+    FILES = {
+        "utf8": CSV_TEXT.replace("CA", "Zürich").encode("utf-8"),
+        "utf8_bom": b"\xef\xbb\xbf" + CSV_TEXT.encode("utf-8"),
+        "latin1": CSV_TEXT.replace("CA", "Zürich").encode("latin-1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FILES))
+    def test_output_matches_local_cli(
+        self, served_model, served_model_path, tmp_path, capsys, case
+    ):
+        from repro.cli import main
+
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(self.FILES[case])
+        assert main([str(path), "--model", str(served_model_path),
+                     "--json"]) == 0
+        local = capsys.readouterr().out
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            for flags in ([], ["--stream"]):
+                assert main([str(path), "--server", client.base_url,
+                             "--json", *flags]) == 0
+                assert capsys.readouterr().out == local
+
+    def test_unreadable_path_exits_2(self, served_model, tmp_path):
+        from repro.cli import main
+
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            assert main([str(tmp_path), "--server", client.base_url]) == 2
 
 
 class TestScanCacheKnob:
@@ -916,7 +1130,7 @@ class TestScanCacheKnob:
             registry, max_wait_s=0.0, scan_cache_max_values=5
         ) as (client, _):
             tight = client.infer_csv_file(path, table="sample")
-            resets = telemetry.metrics.counter("sketch.scan_cache_reset").value
+            resets = telemetry.metrics.counter("serve.scan_cache_reset").value
         assert resets >= 1
         assert tight["predictions"] == reference["predictions"]
 

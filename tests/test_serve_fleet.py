@@ -598,21 +598,3 @@ class TestKeepAliveAndPipelining:
             )
         assert response["predictions"]
         assert after == before + 1
-
-    def test_pipelined_matches_sequential(self, fleet_models):
-        registry = ModelRegistry.preloaded(fleet_models["rf"])
-        jobs = [(f"t{k}", SOAK_CSVS[k % len(SOAK_CSVS)]) for k in range(8)]
-        with running_server(registry, max_wait_s=0.0) as (client, _):
-            sequential = [
-                client.infer_csv_text(csv, table=name)
-                for name, csv in jobs
-            ]
-            pipelined = client.infer_pipelined(jobs, depth=4)
-        assert len(pipelined) == len(jobs)
-        for seq, pipe, (name, _) in zip(sequential, pipelined, jobs):
-            assert pipe["table"] == name  # in-order responses
-            assert json.dumps(pipe["predictions"]) == json.dumps(
-                seq["predictions"]
-            )
-        trace_ids = {p["trace_id"] for p in pipelined}
-        assert len(trace_ids) == len(jobs)

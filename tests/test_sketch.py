@@ -301,6 +301,20 @@ class TestStreamingProfiler:
             assert got.source_file == want.source_file == "t"
             assert got.stats.values.tolist() == want.stats.values.tolist()
 
+    def test_grouped_tallies_match_profile_table(self):
+        # One 7,000-row chunk: a and b share a tally group, c opens a new
+        # one (14,000 + 7,000 present cells pass the 16,384 bound), and
+        # the mostly-missing d joins c's.
+        text = "a,b,c,d\n" + "\n".join(
+            f"{i},{i % 97},w{i % 13},{'' if i % 3 else i * 0.5}"
+            for i in range(7000)
+        )
+        streamed = self._streamed(text)
+        batch = self._batch(text)
+        for got, want in zip(streamed, batch):
+            assert got.samples == want.samples
+            assert got.stats.values.tolist() == want.stats.values.tolist()
+
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 64])
     def test_ill_conditioned_columns_match_profile_table(self, chunk_rows):
         # x: numpy's pairwise mean is 10622.770666666658, 6 ulp below the
