@@ -47,16 +47,12 @@ class BenchmarkContext:
         seed: int = 0,
         rf_estimators: int = 50,
         cnn_epochs: int = 10,
-        cnn_dtype: str = "float64",
-        knn_name_cap: int | None = None,
         cache: "ArtifactCache | None" = None,
     ):
         self.n_examples = n_examples
         self.seed = seed
         self.rf_estimators = rf_estimators
         self.cnn_epochs = cnn_epochs
-        self.cnn_dtype = cnn_dtype
-        self.knn_name_cap = knn_name_cap
         self.cache = cache
         set_active_cache(cache)
         self._corpus: LabeledCorpus | None = None
@@ -165,8 +161,6 @@ class BenchmarkContext:
                         "features": list(feature_set),
                         "rf_estimators": self.rf_estimators,
                         "cnn_epochs": self.cnn_epochs,
-                        "cnn_dtype": self.cnn_dtype,
-                        "knn_name_cap": self.knn_name_cap,
                     }
                     model = self.cache.fetch(
                         "model", params, lambda: self._fit_model(name, feature_set)
@@ -199,10 +193,10 @@ class BenchmarkContext:
         if name == "cnn":
             return CNNModel(
                 feature_set=feature_set, epochs=self.cnn_epochs,
-                random_state=self.seed, dtype=self.cnn_dtype,
+                random_state=self.seed,
             )
         if name == "knn":
-            return KNNModel(name_cap=self.knn_name_cap)
+            return KNNModel()
         raise ValueError(f"unknown model name: {name!r}")
 
     @property

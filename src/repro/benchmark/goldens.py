@@ -4,16 +4,18 @@
 model on the canonical corpus into a committed JSON file;
 ``repro-bench goldens check`` re-runs the models and fails on unexplained
 drift.  This converts the ad-hoc "byte-identical output" claims each perf
-PR re-proves into a standing, cheap gate — and it is the precondition for
-aggressive kernel refactors (float32 CharCNN, banded Levenshtein) where
-tiny numeric drift must be *seen and triaged*, not discovered downstream.
+PR re-proves into a standing, cheap gate, so a kernel rewrite (the im2col
+``Conv1D``, the corpus-vectorized Levenshtein) must reproduce every
+recorded prediction before it lands.
 
 Drift is scored two ways:
 
 * **exact match** — the fraction of columns whose prediction is unchanged;
-  float64 kernels and the banded k-NN path are expected to stay at 1.0.
-* **confusion-aware similarity** — deliberate numeric relaxations (float32)
-  may legitimately flip a handful of near-tie columns.  Each drifted column
+  every model runs float64 and exact kernels, so all five are expected to
+  stay at 1.0, and ``--strict`` (what CI runs) fails on any drifted column.
+* **confusion-aware similarity** — the default, non-strict check tells a
+  handful of near-tie flips (say, from a BLAS or numpy upgrade that
+  reorders a reduction) apart from real regressions.  Each drifted column
   scores the *affinity* of the (golden, new) class pair under the model's
   recorded confusion matrix: pairs the model already confuses against the
   ground truth are "nearby" (a CA↔NU flip on an integer categorical), while

@@ -244,8 +244,8 @@ def _goldens_main(argv: list[str]) -> int:
     freezes its per-column predictions (plus confusion matrix) into a
     committed JSON file; ``check`` re-runs the models and fails (exit 1)
     on drift below the similarity budget — or on *any* drift with
-    ``--strict``.  See :mod:`repro.benchmark.goldens` for how float32
-    drift is triaged via confusion-aware affinity.
+    ``--strict``.  See :mod:`repro.benchmark.goldens` for how drift is
+    triaged via confusion-aware affinity.
     """
     from repro.benchmark.goldens import (
         DEFAULT_MODELS,
@@ -292,15 +292,6 @@ def _goldens_main(argv: list[str]) -> int:
         "--strict", action="store_true",
         help="fail check on any drifted column, regardless of similarity",
     )
-    parser.add_argument(
-        "--cnn-dtype", choices=["float32", "float64"], default="float64",
-        help="numeric dtype for the CharCNN path (default: float64)",
-    )
-    parser.add_argument(
-        "--knn-name-cap", type=int, default=None, metavar="CAP",
-        help="route the k-NN name distance through the banded kernel "
-             "with this cap (default: exact kernel)",
-    )
     args = parser.parse_args(argv)
 
     models = None
@@ -309,10 +300,7 @@ def _goldens_main(argv: list[str]) -> int:
     path = args.path or default_golden_path(args.scale, args.seed)
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
     cache = ArtifactCache(cache_dir) if cache_dir else None
-    context = BenchmarkContext(
-        n_examples=args.scale, seed=args.seed, cache=cache,
-        cnn_dtype=args.cnn_dtype, knn_name_cap=args.knn_name_cap,
-    )
+    context = BenchmarkContext(n_examples=args.scale, seed=args.seed, cache=cache)
 
     if args.action == "record":
         payload = record_goldens(context, models or DEFAULT_MODELS)
@@ -760,16 +748,7 @@ def main(argv: list[str] | None = None) -> int:
     add_observability_flags(parser)
     args = parser.parse_args(argv)
 
-    if args.experiment == "all":
-        names = list(EXPERIMENTS)
-    else:
-        names = [n.strip() for n in args.experiment.split(",") if n.strip()]
-        unknown = [n for n in names if n not in EXPERIMENTS]
-        if unknown or not names:
-            parser.error(
-                f"unknown experiment(s) {', '.join(unknown) or args.experiment!r}; "
-                f"available: {', '.join([*EXPERIMENTS, 'all'])}"
-            )
+    names = _resolve_names(parser, args.experiment)
     if args.resume and not args.run_dir:
         parser.error("--resume requires --run-dir")
 

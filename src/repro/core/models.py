@@ -167,11 +167,10 @@ class KNNModel(TypeInferenceModel):
     def __init__(
         self, n_neighbors: int = 5, gamma: float = 1.0,
         use_stats: bool = True, use_name: bool = True,
-        name_cap: int | None = None,
     ):
         self.knn = NameStatsKNN(
             n_neighbors=n_neighbors, gamma=gamma,
-            use_stats=use_stats, use_name=use_name, name_cap=name_cap,
+            use_stats=use_stats, use_name=use_name,
         )
         self._scaler = StandardScaler()
 
@@ -213,17 +212,14 @@ class CNNModel(TypeInferenceModel):
         hidden_units: int = 128,
         epochs: int = 15,
         random_state: int = 0,
-        dtype: str = "float64",
     ):
         self.feature_set = feature_set
-        self.dtype = dtype
         self.cnn = CharCNNClassifier(
             embed_dim=embed_dim,
             num_filters=num_filters,
             hidden_units=hidden_units,
             epochs=epochs,
             random_state=random_state,
-            dtype=dtype,
         )
 
     def _inputs(self, profiles: list[ColumnProfile]):

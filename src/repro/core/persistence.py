@@ -31,28 +31,11 @@ class ModelFormatError(ModelPersistenceError):
     from I/O-level corruption."""
 
 
-def model_dtype(model: TypeInferenceModel) -> str | None:
-    """The numeric dtype a model computes in, or ``None`` if it has no
-    dtype policy (classical models always run float64).
-
-    The CharCNN family exposes ``dtype`` ("float32"/"float64"); artifacts
-    record it so a deployment can tell which numeric contract a model was
-    trained under before loading it (see docs/performance.md, "Kernel
-    frontier").
-    """
-    dtype = getattr(model, "dtype", None)
-    return str(dtype) if dtype is not None else None
-
-
 def _payload(model: TypeInferenceModel) -> dict:
     """The exact dict both :func:`save_model` and
     :func:`fingerprint_model` serialize, so on-disk and in-memory
-    fingerprints agree — and both cover the recorded dtype."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "model": model,
-        "dtype": model_dtype(model),
-    }
+    fingerprints agree."""
+    return {"format_version": _FORMAT_VERSION, "model": model}
 
 
 def save_model(model: TypeInferenceModel, path: str | os.PathLike) -> None:

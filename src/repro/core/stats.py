@@ -169,8 +169,13 @@ def _stopword_hashes() -> np.ndarray:
     return np.array(sorted(hashes), dtype=np.int64)
 
 
-def _char_luts() -> dict[str, np.ndarray]:
-    """Lazily-built codepoint lookup tables driving the vectorized kernel."""
+def char_luts() -> dict[str, np.ndarray]:
+    """Lazily-built codepoint lookup tables driving the vectorized kernel.
+
+    The first call costs a few milliseconds (a Python loop over every
+    codepoint up to ``_LUT_MAX``); long-lived services call it at start-up
+    so no request pays it.
+    """
     global _LUTS
     if _LUTS is None:
         size = _LUT_MAX + 2  # one extra slot for clipped (out-of-range) codes
@@ -268,7 +273,7 @@ def _scan_slice(
     and codepoints beyond the LUT range.
     """
     d = len(values)
-    luts = _char_luts()
+    luts = char_luts()
     ends = np.cumsum(lengths)
     starts = ends - lengths
     flat = "".join(values)

@@ -126,138 +126,6 @@ def levenshtein_many_vs_many(
     return out
 
 
-def _banded_dp(
-    query: str, matrix: np.ndarray, lengths: np.ndarray, cap: int
-) -> np.ndarray:
-    """Banded, early-exit DP for one query over a pre-encoded corpus.
-
-    Exact for every pair whose true distance is ≤ ``cap``; pairs beyond the
-    cap are reported as ``cap + 1``.  Three mechanisms shed work relative to
-    the full DP:
-
-    * **length lower bound** — ``|len(query) - len(s)| > cap`` pairs never
-      enter the DP at all;
-    * **diagonal band** — at DP row ``i`` only columns ``i ± cap`` can hold
-      a value ≤ cap, so each row computes at most ``2·cap + 1`` cells
-      instead of ``max_len``;
-    * **early exit** — the row minimum of the DP is non-decreasing, so any
-      string whose in-band minimum exceeds the cap is retired; when enough
-      strings retire the working set is compacted, and the loop stops as
-      soon as nothing is left.
-
-    Correctness of the clipping: DP values are monotone non-decreasing in
-    their inputs, so a cell computed ≤ cap can only have been derived from
-    cells that are themselves ≤ cap — which are exact by induction.  Cells
-    ≥ cap + 1 (including everything outside the band) may be underestimates
-    of the true value but never dip back under the cap.
-    """
-    n, max_len = matrix.shape
-    m = len(query)
-    sentinel = cap + 1
-    result = np.full(n, sentinel, dtype=np.int64)
-    alive = np.flatnonzero(np.abs(lengths - m) <= cap)
-    if alive.size == 0:
-        return result
-    if m == 0:
-        result[alive] = lengths[alive]  # ≤ cap by the length bound
-        return result
-    sub = matrix[alive]
-    sublen = lengths[alive]
-    orig = alive
-    width = max_len + 1
-    prev = np.full((orig.size, width), sentinel, dtype=np.int64)
-    hi0 = min(cap, max_len)
-    prev[:, : hi0 + 1] = np.arange(hi0 + 1)
-    for i, ch in enumerate(query, start=1):
-        lo = i - cap if i > cap else 0
-        hi = min(max_len, i + cap)
-        if lo > max_len:  # pragma: no cover - excluded by the length bound
-            return result
-        curr = np.full((sub.shape[0], width), sentinel, dtype=np.int64)
-        jstart = lo if lo > 0 else 1
-        cost = (sub[:, jstart - 1 : hi] != ord(ch)).astype(np.int64)
-        np.minimum(
-            prev[:, jstart - 1 : hi] + cost,
-            prev[:, jstart : hi + 1] + 1,
-            out=curr[:, jstart : hi + 1],
-        )
-        if lo == 0:
-            curr[:, 0] = i
-        # insertion-chain prefix-min within the band (see `levenshtein`)
-        pos = np.arange(lo, hi + 1, dtype=np.int64)
-        band = curr[:, lo : hi + 1]
-        np.minimum(
-            band, np.minimum.accumulate(band - pos, axis=1) + pos, out=band
-        )
-        np.minimum(band, sentinel, out=band)
-        alive_mask = band.min(axis=1) <= cap
-        n_alive = int(np.count_nonzero(alive_mask))
-        if n_alive == 0:
-            return result
-        if band.shape[0] - n_alive > band.shape[0] // 4:
-            sub = sub[alive_mask]
-            sublen = sublen[alive_mask]
-            orig = orig[alive_mask]
-            curr = curr[alive_mask]
-        prev = curr
-    result[orig] = prev[np.arange(orig.size), sublen]
-    return result
-
-
-def levenshtein_one_vs_many_banded(
-    query: str, corpus: Sequence[str], cap: int
-) -> np.ndarray:
-    """Capped edit distance from ``query`` to every string in ``corpus``.
-
-    Entries whose true distance is ≤ ``cap`` equal
-    :func:`levenshtein_one_vs_many` exactly; all other entries are clipped
-    to ``cap + 1``.  Most pairs exit the banded DP long before ``max_len``
-    columns (see :func:`_banded_dp`).
-    """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    n = len(corpus)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    lengths = np.array([len(s) for s in corpus], dtype=np.int64)
-    max_len = int(lengths.max())
-    if max_len == 0:
-        return np.full(n, min(len(query), cap + 1), dtype=np.int64)
-    return _banded_dp(query, _encode_padded(corpus, max_len), lengths, cap)
-
-
-def levenshtein_many_vs_many_banded(
-    queries: Sequence[str], corpus: Sequence[str], cap: int
-) -> np.ndarray:
-    """Capped edit-distance matrix, shape (q, n).
-
-    Row i equals ``levenshtein_one_vs_many_banded(queries[i], corpus, cap)``;
-    the corpus is encoded once for the whole batch and repeated query
-    strings run the DP only once.
-    """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    n = len(corpus)
-    out = np.empty((len(queries), n), dtype=np.int64)
-    if n == 0 or not queries:
-        return out
-    lengths = np.array([len(s) for s in corpus], dtype=np.int64)
-    max_len = int(lengths.max())
-    if max_len == 0:
-        for i, query in enumerate(queries):
-            out[i] = min(len(query), cap + 1)
-        return out
-    matrix = _encode_padded(corpus, max_len)
-    seen: dict[str, int] = {}
-    for i, query in enumerate(queries):
-        first = seen.setdefault(query, i)
-        if first != i:
-            out[i] = out[first]
-        else:
-            out[i] = _banded_dp(query, matrix, lengths, cap)
-    return out
-
-
 def euclidean_one_vs_many(query: np.ndarray, corpus: np.ndarray) -> np.ndarray:
     """Euclidean distance from one vector to each row of ``corpus``."""
     query = np.asarray(query, dtype=float)

@@ -19,11 +19,7 @@ import numpy as np
 from repro.ml.base import BaseEstimator, ClassifierMixin, check_array, check_X_y
 from repro.ml.distances import (
     euclidean_many_vs_many,
-    euclidean_one_vs_many,
     levenshtein_many_vs_many,
-    levenshtein_many_vs_many_banded,
-    levenshtein_one_vs_many,
-    levenshtein_one_vs_many_banded,
     pairwise_euclidean,
 )
 from repro.obs import telemetry
@@ -100,28 +96,19 @@ class NameStatsKNN(BaseEstimator, ClassifierMixin):
     ``fit`` takes attribute names, standardized stats vectors, and labels.
     ``gamma`` weights the stats term; both ``n_neighbors`` (1..10) and
     ``gamma`` ({1e-3 .. 1e3}) are tuned by grid search in the paper.
-
-    ``name_cap`` routes the edit-distance term through the banded,
-    early-exit kernel: name distances beyond the cap are clipped to
-    ``cap + 1``, which leaves every pair whose true edit distance is within
-    the cap untouched (and therefore leaves predictions unchanged whenever
-    the selected neighbors' name distances are within the cap).  ``None``
-    (the default) keeps the exact kernel.
+    The name term is the exact edit distance, as in the paper.
     """
 
     def __init__(
         self, n_neighbors: int = 5, gamma: float = 1.0, use_stats: bool = True,
-        use_name: bool = True, name_cap: int | None = None,
+        use_name: bool = True,
     ):
         if not (use_stats or use_name):
             raise ValueError("at least one of use_stats/use_name must be set")
-        if name_cap is not None and name_cap < 0:
-            raise ValueError("name_cap must be None or >= 0")
         self.n_neighbors = n_neighbors
         self.gamma = gamma
         self.use_stats = use_stats
         self.use_name = use_name
-        self.name_cap = name_cap
 
     def fit(
         self, names: Sequence[str], stats: np.ndarray, y: Sequence
@@ -136,40 +123,22 @@ class NameStatsKNN(BaseEstimator, ClassifierMixin):
         self.classes_ = sorted(set(self._y), key=str)
         return self
 
-    def _distances(self, name: str, stats_row: np.ndarray) -> np.ndarray:
-        total = np.zeros(len(self._y))
-        if self.use_name:
-            if self.name_cap is not None:
-                edit = levenshtein_one_vs_many_banded(
-                    name, self._names, self.name_cap
-                )
-            else:
-                edit = levenshtein_one_vs_many(name, self._names)
-            total += edit.astype(float)
-        if self.use_stats:
-            total += self.gamma * euclidean_one_vs_many(stats_row, self._stats)
-        return total
-
     def distance_matrix(
         self, names: Sequence[str], stats: np.ndarray
     ) -> np.ndarray:
         """Weighted distances from every query to every training column.
 
-        Bit-identical to stacking :meth:`_distances` per query: both terms
-        broadcast the same per-row kernels over the full train matrix, and
-        repeated query names share one edit-distance computation.
+        Bit-identical to stacking ``levenshtein_one_vs_many`` plus
+        ``gamma * euclidean_one_vs_many`` per query (the row-wise reference
+        that ``tests/test_ml_distances.py`` checks): both terms broadcast the
+        same per-row kernels over the full train matrix, and repeated query
+        names share one edit-distance computation.
         """
         stats = np.asarray(stats, dtype=float)
         total = np.zeros((len(names), len(self._y)))
         if self.use_name:
             name_strings = [str(n) for n in names]
-            if self.name_cap is not None:
-                edit = levenshtein_many_vs_many_banded(
-                    name_strings, self._names, self.name_cap
-                )
-            else:
-                edit = levenshtein_many_vs_many(name_strings, self._names)
-            total += edit.astype(float)
+            total += levenshtein_many_vs_many(name_strings, self._names).astype(float)
         if self.use_stats:
             total += self.gamma * euclidean_many_vs_many(stats, self._stats)
         return total

@@ -12,7 +12,7 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.losses import softmax, softmax_cross_entropy
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 __all__ = [
     "Adam",
@@ -25,7 +25,6 @@ __all__ = [
     "Layer",
     "PAD_CODE",
     "ReLU",
-    "SGD",
     "UNK_CODE",
     "VOCAB_SIZE",
     "encode_batch",

@@ -4,27 +4,11 @@ Architecture: every text input (attribute name, sample values) goes through
 an Embedding, two cascaded Conv1D layers (ReLU), and a global max pool; all
 pooled vectors are concatenated with the descriptive statistics and fed to a
 two-hidden-layer MLP with dropout and a softmax output.  Trained end-to-end
-with Adam.
-
-Two operational features ride on top of the architecture:
-
-* **dtype policy** — ``dtype="float32"`` runs training and inference in
-  float32 end-to-end (weights, activations, optimizer moments), roughly
-  halving the memory traffic of the GEMM hot loop.  ``"float64"`` stays the
-  default and is bit-identical to the historical behaviour; float32 drift
-  is triaged by the golden-prediction gate (``repro-bench goldens``).
-* **mid-epoch checkpoint/restore** — ``fit(..., checkpoint_path=...)``
-  writes atomic training checkpoints (weights, Adam moments, epoch, batch
-  cursor, RNG state); ``resume=True`` continues from the last checkpoint
-  and produces runs bit-identical to uninterrupted ones.  ``max_steps``
-  bounds the optimizer steps of one ``fit`` call, so preemptible workers
-  can train in slices.
+with Adam, in float64, in one ``fit`` call of ``epochs`` passes; the golden
+predictions (``repro-bench goldens``) freeze its output bit for bit.
 """
 
 from __future__ import annotations
-
-import os
-import pickle
 
 import numpy as np
 
@@ -43,43 +27,6 @@ from repro.nn.layers import (
 from repro.nn.losses import softmax, softmax_cross_entropy
 from repro.nn.optim import Adam
 
-_CHECKPOINT_FORMAT = "charcnn-checkpoint"
-_CHECKPOINT_VERSION = 1
-
-#: __init__ fields that define a training run; checkpoints echo them and
-#: refuse to resume under a different configuration.
-_CONFIG_FIELDS = (
-    "embed_dim", "num_filters", "filter_size", "hidden_units", "dropout",
-    "max_len", "epochs", "batch_size", "lr", "random_state", "dtype",
-)
-
-
-class CheckpointError(RuntimeError):
-    """Raised when a training checkpoint cannot be read or does not match."""
-
-
-def _write_checkpoint(path: str, payload: dict) -> None:
-    """Atomic pickle write (tmp + rename) so a crash never tears a file."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
-
-
-def _read_checkpoint(path: str) -> dict:
-    try:
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-    if (
-        not isinstance(payload, dict)
-        or payload.get("format") != _CHECKPOINT_FORMAT
-        or payload.get("version") != _CHECKPOINT_VERSION
-    ):
-        raise CheckpointError(f"{path!r} is not a CharCNN checkpoint")
-    return payload
-
 
 class _CNNBlock:
     """Embedding → Conv1D → ReLU → Conv1D → ReLU → GlobalMaxPool."""
@@ -90,13 +37,12 @@ class _CNNBlock:
         num_filters: int,
         filter_size: int,
         rng: np.random.Generator,
-        dtype: np.dtype | type = np.float64,
     ):
         self.layers = [
-            Embedding(VOCAB_SIZE, embed_dim, rng, dtype=dtype),
-            Conv1D(embed_dim, num_filters, filter_size, rng, dtype=dtype),
+            Embedding(VOCAB_SIZE, embed_dim, rng),
+            Conv1D(embed_dim, num_filters, filter_size, rng),
             ReLU(),
-            Conv1D(num_filters, num_filters, filter_size, rng, dtype=dtype),
+            Conv1D(num_filters, num_filters, filter_size, rng),
             ReLU(),
             GlobalMaxPool1D(),
         ]
@@ -141,7 +87,6 @@ class CharCNNClassifier(BaseEstimator, ClassifierMixin):
         batch_size: int = 64,
         lr: float = 1e-3,
         random_state: int = 0,
-        dtype: str = "float64",
     ):
         self.embed_dim = embed_dim
         self.num_filters = num_filters
@@ -153,15 +98,8 @@ class CharCNNClassifier(BaseEstimator, ClassifierMixin):
         self.batch_size = batch_size
         self.lr = lr
         self.random_state = random_state
-        if np.dtype(dtype) not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError("dtype must be 'float32' or 'float64'")
-        self.dtype = str(np.dtype(dtype))
 
     # -- internals -----------------------------------------------------------
-    @property
-    def _np_dtype(self) -> np.dtype:
-        return np.dtype(self.dtype)
-
     def _encode_fields(self, text_fields: list[list[str]]) -> list[np.ndarray]:
         return [
             encode_batch(field, self.max_len, dtype=np.int32)
@@ -183,7 +121,7 @@ class CharCNNClassifier(BaseEstimator, ClassifierMixin):
             out = layer.forward(out, training)
         return out
 
-    def _backward(self, grad: np.ndarray, has_stats: bool) -> None:
+    def _backward(self, grad: np.ndarray) -> None:
         for layer in reversed(self._head):
             grad = layer.backward(grad)
         offsets = np.cumsum([0] + self._concat_parts)
@@ -194,7 +132,7 @@ class CharCNNClassifier(BaseEstimator, ClassifierMixin):
     def _standardize_stats(self, stats, fit: bool) -> np.ndarray | None:
         if stats is None:
             return None
-        stats = np.asarray(stats, dtype=self._np_dtype)
+        stats = np.asarray(stats, dtype=np.float64)
         if fit:
             self._stats_mean = stats.mean(axis=0)
             std = stats.std(axis=0)
@@ -204,23 +142,19 @@ class CharCNNClassifier(BaseEstimator, ClassifierMixin):
 
     def _build_network(self, stats_dim: int, n_classes: int) -> None:
         """Construct blocks/head/optimizer from ``self._rng`` (fresh draws)."""
-        dt = self._np_dtype
         self._blocks = [
-            _CNNBlock(
-                self.embed_dim, self.num_filters, self.filter_size,
-                self._rng, dtype=dt,
-            )
+            _CNNBlock(self.embed_dim, self.num_filters, self.filter_size, self._rng)
             for _ in range(self._n_fields)
         ]
         concat_dim = sum(block.out_dim for block in self._blocks) + stats_dim
         self._head = [
-            Dense(concat_dim, self.hidden_units, self._rng, dtype=dt),
+            Dense(concat_dim, self.hidden_units, self._rng),
             ReLU(),
             Dropout(self.dropout, self._rng),
-            Dense(self.hidden_units, self.hidden_units, self._rng, dtype=dt),
+            Dense(self.hidden_units, self.hidden_units, self._rng),
             ReLU(),
             Dropout(self.dropout, self._rng),
-            Dense(self.hidden_units, n_classes, self._rng, dtype=dt),
+            Dense(self.hidden_units, n_classes, self._rng),
         ]
         params, grads = [], []
         for block in self._blocks:
@@ -233,169 +167,32 @@ class CharCNNClassifier(BaseEstimator, ClassifierMixin):
         self._params = params
         self._optimizer = Adam(params, grads, lr=self.lr)
 
-    # -- checkpoint/state ------------------------------------------------------
-    def _config(self) -> dict:
-        return {field: getattr(self, field) for field in _CONFIG_FIELDS}
-
-    def state_dict(self) -> dict:
-        """Complete, copy-on-read training state.
-
-        Contains everything a new instance needs to continue (or serve) the
-        model bit-identically: weights, Adam moments, the RNG's exact bit
-        state, the epoch/batch cursor, and the fitted preprocessing state.
-        """
-        self._check_fitted("_head")
-        return {
-            "format": _CHECKPOINT_FORMAT,
-            "version": _CHECKPOINT_VERSION,
-            "config": self._config(),
-            "params": [p.copy() for p in self._params],
-            "optimizer": self._optimizer.state_dict(),
-            "rng_state": self._rng.bit_generator.state,
-            "epoch": self._epoch,
-            "batch_start": self._batch_start,
-            "order": None if self._order is None else self._order.copy(),
-            "epoch_loss": self._epoch_loss,
-            "history": list(self.history_),
-            "classes": list(self.classes_),
-            "stats_mean": getattr(self, "_stats_mean", None),
-            "stats_std": getattr(self, "_stats_std", None),
-            "n_fields": self._n_fields,
-            "has_stats": self._has_stats,
-            "stats_dim": self._stats_dim,
-            "complete": self.training_complete_,
-        }
-
-    def load_state_dict(self, state: dict) -> "CharCNNClassifier":
-        """Restore the state captured by :meth:`state_dict` into ``self``.
-
-        The instance's configuration must match the checkpoint's; the
-        network is rebuilt, then weights/moments/RNG are overwritten with
-        the saved values, so training can continue exactly where it stopped.
-        """
-        config = state.get("config", {})
-        mine = self._config()
-        mismatched = {
-            key: (mine[key], config.get(key))
-            for key in _CONFIG_FIELDS
-            if config.get(key) != mine[key]
-        }
-        if mismatched:
-            raise CheckpointError(
-                f"checkpoint configuration mismatch: {mismatched}"
-            )
-        self._n_fields = state["n_fields"]
-        self._has_stats = state["has_stats"]
-        self._stats_dim = state["stats_dim"]
-        if state["stats_mean"] is not None:
-            self._stats_mean = state["stats_mean"]
-            self._stats_std = state["stats_std"]
-        self._encoder = LabelEncoder().fit(state["classes"])
-        self.classes_ = self._encoder.classes_
-        # rebuild the network (burning fresh init draws), then overwrite
-        # every tensor and the RNG's bit state with the saved values
-        self._rng = np.random.default_rng(self.random_state)
-        self._build_network(self._stats_dim, len(self.classes_))
-        for param, saved in zip(self._params, state["params"]):
-            param[...] = saved
-        self._optimizer.load_state_dict(state["optimizer"])
-        self._rng.bit_generator.state = state["rng_state"]
-        self._epoch = state["epoch"]
-        self._batch_start = state["batch_start"]
-        self._order = state["order"]
-        self._epoch_loss = state["epoch_loss"]
-        self.history_ = list(state["history"])
-        self.training_complete_ = bool(state["complete"])
-        return self
-
-    def save_checkpoint(self, path: str | os.PathLike) -> None:
-        """Atomically write the current :meth:`state_dict` to ``path``."""
-        _write_checkpoint(os.fspath(path), self.state_dict())
-
     # -- API -------------------------------------------------------------------
-    def fit(
-        self,
-        text_fields: list[list[str]],
-        stats,
-        y,
-        *,
-        checkpoint_path: str | os.PathLike | None = None,
-        checkpoint_every: int = 0,
-        resume: bool = False,
-        max_steps: int | None = None,
-    ) -> "CharCNNClassifier":
-        """Train (or continue training) the network.
-
-        ``checkpoint_path`` enables crash-safe training: a checkpoint is
-        written every ``checkpoint_every`` optimizer steps (0 = at epoch
-        boundaries only) and at the end.  With ``resume=True`` an existing
-        checkpoint is loaded and training continues mid-epoch from its
-        exact batch cursor and RNG state — the finished model is
-        bit-identical to an uninterrupted run.  ``max_steps`` stops after
-        that many optimizer steps in *this* call (checkpointing first),
-        which lets preemptible workers train in bounded slices; check
-        ``training_complete_`` to see whether more steps remain.
-        """
+    def fit(self, text_fields: list[list[str]], stats, y) -> "CharCNNClassifier":
+        """Train the network from fresh weights for ``epochs`` passes."""
         if not text_fields and stats is None:
             raise ValueError("need at least one text field or a stats matrix")
         n = len(y)
         for field in text_fields:
             if len(field) != n:
                 raise ValueError("text field length mismatch with y")
-        checkpoint_path = (
-            os.fspath(checkpoint_path) if checkpoint_path is not None else None
-        )
 
-        resumed = False
-        if resume and checkpoint_path and os.path.exists(checkpoint_path):
-            self.load_state_dict(_read_checkpoint(checkpoint_path))
-            if self._n_fields != len(text_fields):
-                raise CheckpointError(
-                    f"checkpoint was trained with {self._n_fields} text "
-                    f"fields, got {len(text_fields)}"
-                )
-            if self._has_stats != (stats is not None):
-                raise CheckpointError(
-                    "checkpoint stats usage does not match the given data"
-                )
-            stats_matrix = self._standardize_stats(stats, fit=False)
-            resumed = True
-            telemetry.info(
-                "charcnn.resumed", path=checkpoint_path, epoch=self._epoch,
-                batch_start=self._batch_start,
-            )
-        else:
-            self._rng = np.random.default_rng(self.random_state)
-            self._encoder = LabelEncoder().fit(y)
-            self.classes_ = self._encoder.classes_
-            stats_matrix = self._standardize_stats(stats, fit=True)
-            self._stats_dim = 0 if stats_matrix is None else stats_matrix.shape[1]
-            self._has_stats = stats_matrix is not None
-            self._n_fields = len(text_fields)
-            self._build_network(self._stats_dim, len(self.classes_))
-            self._epoch = 0
-            self._batch_start = 0
-            self._order = None
-            self._epoch_loss = 0.0
-            self.history_ = []
-            self.training_complete_ = False
-
-        if self.training_complete_:
-            return self
+        self._rng = np.random.default_rng(self.random_state)
+        self._encoder = LabelEncoder().fit(y)
+        self.classes_ = self._encoder.classes_
+        stats_matrix = self._standardize_stats(stats, fit=True)
+        stats_dim = 0 if stats_matrix is None else stats_matrix.shape[1]
+        self._n_fields = len(text_fields)
+        self._build_network(stats_dim, len(self.classes_))
+        self.history_ = []
 
         targets = self._encoder.transform(y)
         coded = self._encode_fields(text_fields)
-        steps_this_call = 0
-
-        for epoch in range(self._epoch, self.epochs):
-            self._epoch = epoch
-            if self._order is None:
-                self._order = self._rng.permutation(n)
-                self._batch_start = 0
-                self._epoch_loss = 0.0
-            order = self._order
+        for epoch in range(self.epochs):
+            order = self._rng.permutation(n)
+            epoch_loss = 0.0
             with telemetry.span("charcnn.epoch", epoch=epoch, n_examples=n) as sp:
-                for start in range(self._batch_start, n, self.batch_size):
+                for start in range(0, n, self.batch_size):
                     batch = order[start : start + self.batch_size]
                     batch_fields = [codes[batch] for codes in coded]
                     batch_stats = (
@@ -407,55 +204,18 @@ class CharCNNClassifier(BaseEstimator, ClassifierMixin):
                             batch_fields, batch_stats, training=True
                         )
                         loss, grad = softmax_cross_entropy(logits, targets[batch])
-                        self._backward(grad, self._has_stats)
+                        self._backward(grad)
                         self._optimizer.step()
                     telemetry.count("charcnn.batches")
-                    self._epoch_loss += loss * len(batch)
-                    self._batch_start = start + self.batch_size
-                    steps_this_call += 1
-                    mid_epoch_done = self._batch_start < n
-                    if (
-                        checkpoint_path
-                        and checkpoint_every > 0
-                        and steps_this_call % checkpoint_every == 0
-                        and mid_epoch_done
-                    ):
-                        self.save_checkpoint(checkpoint_path)
-                    if (
-                        max_steps is not None
-                        and steps_this_call >= max_steps
-                        and mid_epoch_done
-                    ):
-                        if checkpoint_path:
-                            self.save_checkpoint(checkpoint_path)
-                        return self
-            mean_loss = self._epoch_loss / n
+                    epoch_loss += loss * len(batch)
+            mean_loss = epoch_loss / n
             self.history_.append(mean_loss)
-            # epoch finished: advance the cursor, then checkpoint/stop on
-            # the epoch boundary
-            self._epoch = epoch + 1
-            self._order = None
-            self._batch_start = 0
-            self._epoch_loss = 0.0
             if telemetry.enabled:
                 telemetry.gauge("charcnn.loss", mean_loss)
                 telemetry.observe("charcnn.epoch_s", sp.wall_s)
                 telemetry.debug(
-                    "charcnn.epoch", epoch=epoch, loss=mean_loss,
-                    wall_s=sp.wall_s, resumed=resumed,
+                    "charcnn.epoch", epoch=epoch, loss=mean_loss, wall_s=sp.wall_s
                 )
-            if self._epoch >= self.epochs:
-                break
-            if checkpoint_path and checkpoint_every == 0:
-                self.save_checkpoint(checkpoint_path)
-            if max_steps is not None and steps_this_call >= max_steps:
-                if checkpoint_path:
-                    self.save_checkpoint(checkpoint_path)
-                return self
-
-        self.training_complete_ = True
-        if checkpoint_path:
-            self.save_checkpoint(checkpoint_path)
         return self
 
     def predict_proba(self, text_fields: list[list[str]], stats) -> np.ndarray:

@@ -6,10 +6,7 @@ accumulates parameter gradients into ``grads`` (aligned with ``params``).
 Layers that terminate the graph (integer-input embeddings) return ``None``
 from ``backward`` — their inputs carry no gradient.
 
-Every parameterized layer takes a ``dtype`` (default float64).  float32
-halves the memory traffic of the GEMM-heavy CharCNN hot loop; the float64
-default keeps the historical bit-exact behaviour (see docs/performance.md,
-"Kernel frontier").
+Parameters, activations and gradients are float64 throughout.
 
 ``Conv1D`` uses an im2col memory layout: the forward pass materializes the
 sliding windows as one ``(batch*out_seq, kernel*channels)`` matrix so the
@@ -52,13 +49,10 @@ class Embedding(Layer):
         vocab_size: int,
         embed_dim: int,
         rng: np.random.Generator,
-        dtype: np.dtype | type = np.float64,
     ):
         super().__init__()
         scale = 1.0 / np.sqrt(embed_dim)
-        self.weight = rng.normal(0.0, scale, size=(vocab_size, embed_dim)).astype(
-            dtype, copy=False
-        )
+        self.weight = rng.normal(0.0, scale, size=(vocab_size, embed_dim))
         self.weight[0] = 0.0
         self.params = [self.weight]
         self.grads = [np.zeros_like(self.weight)]
@@ -89,14 +83,13 @@ class Conv1D(Layer):
         out_channels: int,
         kernel_size: int,
         rng: np.random.Generator,
-        dtype: np.dtype | type = np.float64,
     ):
         super().__init__()
         scale = np.sqrt(2.0 / (kernel_size * in_channels))
         self.weight = rng.normal(
             0.0, scale, size=(kernel_size, in_channels, out_channels)
-        ).astype(dtype, copy=False)
-        self.bias = np.zeros(out_channels, dtype=self.weight.dtype)
+        )
+        self.bias = np.zeros(out_channels)
         self.kernel_size = kernel_size
         self.params = [self.weight, self.bias]
         self.grads = [np.zeros_like(self.weight), np.zeros_like(self.bias)]
@@ -142,8 +135,8 @@ class Conv1D(Layer):
         dcols = g2 @ self.weight.reshape(-1, filters).T
         dwin = dcols.reshape(batch, out_seq, self.kernel_size, channels)
         buf = self._grad_x_buf
-        if buf is None or buf.shape != self._x_shape or buf.dtype != dwin.dtype:
-            buf = np.empty(self._x_shape, dtype=dwin.dtype)
+        if buf is None or buf.shape != self._x_shape:
+            buf = np.empty(self._x_shape)
             self._grad_x_buf = buf
         # each output position o consumed input positions o..o+k-1; assign the
         # k=0 slice first so the buffer needs no zero-fill beyond the tail
@@ -175,14 +168,13 @@ class GlobalMaxPool1D(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x_shape = x.shape
-        self._dtype = x.dtype
         self._argmax = np.argmax(x, axis=1)
         return np.max(x, axis=1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         buf = self._grad_buf
-        if buf is None or buf.shape != self._x_shape or buf.dtype != self._dtype:
-            buf = np.empty(self._x_shape, dtype=self._dtype)
+        if buf is None or buf.shape != self._x_shape:
+            buf = np.empty(self._x_shape)
             self._grad_buf = buf
         buf.fill(0.0)
         batch, _seq, channels = self._x_shape
@@ -200,14 +192,11 @@ class Dense(Layer):
         in_features: int,
         out_features: int,
         rng: np.random.Generator,
-        dtype: np.dtype | type = np.float64,
     ):
         super().__init__()
         scale = np.sqrt(2.0 / in_features)
-        self.weight = rng.normal(0.0, scale, size=(in_features, out_features)).astype(
-            dtype, copy=False
-        )
-        self.bias = np.zeros(out_features, dtype=self.weight.dtype)
+        self.weight = rng.normal(0.0, scale, size=(in_features, out_features))
+        self.bias = np.zeros(out_features)
         self.params = [self.weight, self.bias]
         self.grads = [np.zeros_like(self.weight), np.zeros_like(self.bias)]
 
@@ -236,10 +225,7 @@ class Dropout(Layer):
             self._mask = None
             return x
         keep = 1.0 - self.rate
-        # mask in the input's dtype so float32 activations stay float32
-        self._mask = (self.rng.random(x.shape) < keep).astype(x.dtype) / x.dtype.type(
-            keep
-        )
+        self._mask = (self.rng.random(x.shape) < keep) / keep
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -1,8 +1,7 @@
 """Losses for the numpy NN substrate.
 
-Both functions are dtype-preserving: probabilities and gradients come back
-in the dtype of the logits (float32 training stays float32 end-to-end), and
-the scalar loss is always an exact python float.
+Probabilities and gradients are float64 arrays; the scalar loss is a
+python float.
 """
 
 from __future__ import annotations

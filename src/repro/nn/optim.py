@@ -1,4 +1,4 @@
-"""Optimizers for the numpy NN substrate."""
+"""The optimizer for the numpy NN substrate."""
 
 from __future__ import annotations
 
@@ -40,51 +40,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * grad * grad
             param -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-
-    def zero_grad(self) -> None:
-        for grad in self.grads:
-            grad[...] = 0.0
-
-    def state_dict(self) -> dict:
-        """Copy of the optimizer moments + step counter (for checkpoints)."""
-        return {
-            "m": [m.copy() for m in self._m],
-            "v": [v.copy() for v in self._v],
-            "t": self._t,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore moments/step saved by :meth:`state_dict` (in place)."""
-        if len(state["m"]) != len(self._m) or len(state["v"]) != len(self._v):
-            raise ValueError("optimizer state does not match parameter list")
-        for m, saved in zip(self._m, state["m"]):
-            m[...] = saved
-        for v, saved in zip(self._v, state["v"]):
-            v[...] = saved
-        self._t = int(state["t"])
-
-
-class SGD:
-    """Plain (optionally momentum) stochastic gradient descent."""
-
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        grads: list[np.ndarray],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-    ):
-        self.params = params
-        self.grads = grads
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p) for p in params]
-
-    def step(self) -> None:
-        for param, grad, velocity in zip(self.params, self.grads, self._velocity):
-            velocity *= self.momentum
-            velocity -= self.lr * grad
-            param += velocity
 
     def zero_grad(self) -> None:
         for grad in self.grads:

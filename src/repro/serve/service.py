@@ -23,7 +23,7 @@ import contextlib
 import time
 
 from repro.core.pipeline import ColumnPrediction, TypeInferencePipeline
-from repro.core.stats import StatsScanCache
+from repro.core.stats import StatsScanCache, char_luts
 from repro.obs import span_context, telemetry, use_context
 from repro.serve.batching import InferenceRequest, MicroBatcher, QueueFullError
 from repro.serve.registry import ModelRegistry, UnknownModelError
@@ -76,6 +76,7 @@ class InferenceService:
 
     # -- lifecycle -----------------------------------------------------------
     def start(self, load_in_background: bool = True) -> "InferenceService":
+        char_luts()  # build the stats kernel's tables before any request
         self.registry.load(background=load_in_background)
         self.batcher.start()
         return self

@@ -9,9 +9,7 @@ from repro.ml.distances import (
     euclidean_one_vs_many,
     levenshtein,
     levenshtein_many_vs_many,
-    levenshtein_many_vs_many_banded,
     levenshtein_one_vs_many,
-    levenshtein_one_vs_many_banded,
     pairwise_euclidean,
 )
 
@@ -69,69 +67,27 @@ class TestOneVsMany:
         assert levenshtein_one_vs_many("ab", ["", ""]).tolist() == [2, 2]
 
 
-class TestBandedLevenshtein:
-    """The banded early-exit kernel vs the exact kernels.
-
-    Contract: entries whose true distance is <= cap are exact; everything
-    beyond the cap is reported as exactly cap + 1.
-    """
-
-    @given(unicode_text, st.lists(unicode_text, max_size=10),
-           st.integers(min_value=0, max_value=20))
-    @settings(max_examples=150)
-    def test_one_vs_many_matches_exact(self, query, corpus, cap):
-        got = levenshtein_one_vs_many_banded(query, corpus, cap)
-        exact = np.array(
-            [levenshtein(query, s) for s in corpus], dtype=got.dtype
-        ).reshape(got.shape)
-        within = exact <= cap
-        assert np.array_equal(got[within], exact[within])
-        assert np.all(got[~within] == cap + 1)
-
-    @given(st.lists(unicode_text, max_size=6),
-           st.lists(unicode_text, max_size=6),
-           st.integers(min_value=0, max_value=12))
+class TestManyVsMany:
+    @given(st.lists(unicode_text, max_size=6), st.lists(unicode_text, max_size=8))
     @settings(max_examples=80)
-    def test_many_vs_many_matches_exact(self, queries, corpus, cap):
-        got = levenshtein_many_vs_many_banded(queries, corpus, cap)
-        exact = levenshtein_many_vs_many(queries, corpus)
-        assert got.shape == exact.shape
-        within = exact <= cap
-        assert np.array_equal(got[within], exact[within])
-        assert np.all(got[~within] == cap + 1)
-
-    @given(st.lists(short_text, max_size=8), st.lists(short_text, max_size=8))
-    @settings(max_examples=60)
-    def test_huge_cap_is_fully_exact(self, queries, corpus):
-        # with a cap no distance can reach, banded must equal exact everywhere
-        got = levenshtein_many_vs_many_banded(queries, corpus, 100)
-        assert np.array_equal(got, levenshtein_many_vs_many(queries, corpus))
-
-    def test_cap_zero_flags_only_equal_strings(self):
-        got = levenshtein_one_vs_many_banded("abc", ["abc", "abd", "abc"], 0)
-        assert got.tolist() == [0, 1, 0]
-
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError):
-            levenshtein_one_vs_many_banded("a", ["b"], -1)
-        with pytest.raises(ValueError):
-            levenshtein_many_vs_many_banded(["a"], ["b"], -1)
+    def test_rows_match_one_vs_many(self, queries, corpus):
+        got = levenshtein_many_vs_many(queries, corpus)
+        assert got.shape == (len(queries), len(corpus))
+        for query, row in zip(queries, got):
+            assert row.tolist() == [reference_levenshtein(query, s) for s in corpus]
+            assert np.array_equal(row, levenshtein_one_vs_many(query, corpus))
 
     def test_empty_inputs(self):
-        assert levenshtein_one_vs_many_banded("abc", [], 3).shape == (0,)
-        assert levenshtein_many_vs_many_banded([], ["x"], 3).shape == (0, 1)
-        assert levenshtein_many_vs_many_banded(["x"], [], 3).shape == (1, 0)
+        assert levenshtein_many_vs_many([], ["x"]).shape == (0, 1)
+        assert levenshtein_many_vs_many(["x"], []).shape == (1, 0)
 
-    def test_length_bound_shortcut(self):
-        # |len(a) - len(b)| > cap means the pair is clipped without DP
-        got = levenshtein_one_vs_many_banded("ab", ["abcdefgh"], 3)
-        assert got.tolist() == [4]
+    def test_all_empty_corpus(self):
+        got = levenshtein_many_vs_many(["ab", ""], ["", ""])
+        assert got.tolist() == [[2, 2], [0, 0]]
 
-    def test_repeated_queries_share_computation(self):
-        got = levenshtein_many_vs_many_banded(
-            ["dog", "cat", "dog"], ["dot", "cut"], 2
-        )
-        assert np.array_equal(got[0], got[2])
+    def test_repeated_queries_share_rows(self):
+        got = levenshtein_many_vs_many(["dog", "cat", "dog"], ["dot", "cut"])
+        assert got.tolist() == [[1, 3], [2, 1], [1, 3]]
 
 
 class TestEuclidean:

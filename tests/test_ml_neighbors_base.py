@@ -63,45 +63,6 @@ class TestNameStatsKNN:
         model = NameStatsKNN(n_neighbors=1).fit(names, stats, ["A", "B"])
         assert model.score(names, stats, ["A", "B"]) == 1.0
 
-    def test_negative_name_cap_rejected(self):
-        with pytest.raises(ValueError, match="name_cap"):
-            NameStatsKNN(name_cap=-1)
-
-    def test_banded_cap_matches_exact(self, rng):
-        """With a cap no name distance can exceed, the banded path must be
-        identical to the exact path — distances, predictions, and probas."""
-        alphabet = list("abcdefgh_")
-        names = [
-            "".join(rng.choice(alphabet, size=rng.integers(2, 9)))
-            for _ in range(30)
-        ]
-        stats = rng.normal(size=(30, 4))
-        y = ["A" if i % 3 else "B" for i in range(30)]
-        q_names = names[:10]
-        q_stats = rng.normal(size=(10, 4))
-        exact = NameStatsKNN(n_neighbors=3).fit(names, stats, y)
-        banded = NameStatsKNN(n_neighbors=3, name_cap=50).fit(names, stats, y)
-        assert np.array_equal(
-            exact.distance_matrix(q_names, q_stats),
-            banded.distance_matrix(q_names, q_stats),
-        )
-        assert exact.predict(q_names, q_stats) == banded.predict(
-            q_names, q_stats
-        )
-        assert np.array_equal(
-            exact.predict_proba(q_names, q_stats),
-            banded.predict_proba(q_names, q_stats),
-        )
-
-    def test_tight_cap_clips_but_still_predicts(self, rng):
-        names = ["aaaa", "bbbb", "cccc", "dddd"]
-        stats = rng.normal(size=(4, 2))
-        model = NameStatsKNN(n_neighbors=1, name_cap=1).fit(
-            names, stats, ["A", "A", "B", "B"]
-        )
-        preds = model.predict(["aaab", "cccd"], stats[:2])
-        assert len(preds) == 2
-
 
 class TestBaseEstimator:
     def test_get_set_params(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.charcnn import CharCNNClassifier, CheckpointError
+from repro.nn.charcnn import CharCNNClassifier
 
 
 @pytest.fixture(scope="module")
@@ -68,118 +68,3 @@ class TestCharCNN:
         a = _small_cnn(epochs=2).fit([names], stats, labels)
         b = _small_cnn(epochs=2).fit([names], stats, labels)
         assert a.predict([names], stats) == b.predict([names], stats)
-
-
-def _params(model):
-    return [p.copy() for p in model._params]
-
-
-class TestCheckpointResume:
-    def test_resumed_run_bit_identical(self, name_task, tmp_path):
-        """Interrupt training twice mid-epoch; the resumed model must match
-        an uninterrupted run bit for bit."""
-        names, stats, labels = name_task
-        straight = _small_cnn(epochs=4).fit([names], stats, labels)
-
-        ckpt = tmp_path / "cnn.ckpt"
-        sliced = _small_cnn(epochs=4)
-        sliced.fit([names], stats, labels,
-                   checkpoint_path=ckpt, checkpoint_every=3, max_steps=5)
-        assert not sliced.training_complete_
-        for _ in range(10):  # keep resuming in slices until done
-            sliced = _small_cnn(epochs=4)
-            sliced.fit([names], stats, labels,
-                       checkpoint_path=ckpt, checkpoint_every=3,
-                       resume=True, max_steps=7)
-            if sliced.training_complete_:
-                break
-        assert sliced.training_complete_
-        for a, b in zip(_params(straight), _params(sliced)):
-            assert np.array_equal(a, b)
-        assert straight.history_ == sliced.history_
-        assert straight.predict([names], stats) == sliced.predict(
-            [names], stats
-        )
-
-    def test_max_steps_checkpoints_and_stops(self, name_task, tmp_path):
-        names, stats, labels = name_task
-        ckpt = tmp_path / "cnn.ckpt"
-        model = _small_cnn(epochs=4)
-        model.fit([names], stats, labels,
-                  checkpoint_path=ckpt, max_steps=2)
-        assert not model.training_complete_
-        assert ckpt.exists()
-
-    def test_epoch_boundary_checkpoints(self, name_task, tmp_path):
-        names, stats, labels = name_task
-        ckpt = tmp_path / "cnn.ckpt"
-        _small_cnn(epochs=2).fit([names], stats, labels, checkpoint_path=ckpt)
-        resumed = _small_cnn(epochs=2)
-        resumed.fit([names], stats, labels,
-                    checkpoint_path=ckpt, resume=True)
-        assert resumed.training_complete_
-
-    def test_config_mismatch_rejected(self, name_task, tmp_path):
-        names, stats, labels = name_task
-        ckpt = tmp_path / "cnn.ckpt"
-        _small_cnn(epochs=2).fit([names], stats, labels,
-                                 checkpoint_path=ckpt, max_steps=1)
-        other = _small_cnn(epochs=2, embed_dim=8)
-        with pytest.raises(CheckpointError, match="embed_dim"):
-            other.fit([names], stats, labels,
-                      checkpoint_path=ckpt, resume=True)
-
-    def test_corrupt_checkpoint_rejected(self, tmp_path):
-        bad = tmp_path / "bad.ckpt"
-        bad.write_bytes(b"not a checkpoint")
-        model = _small_cnn(epochs=1)
-        with pytest.raises(CheckpointError):
-            model.fit([["a", "b"]], None, ["x", "y"],
-                      checkpoint_path=bad, resume=True)
-
-    def test_state_dict_roundtrip(self, name_task):
-        names, stats, labels = name_task
-        a = _small_cnn(epochs=2).fit([names], stats, labels)
-        b = _small_cnn(epochs=2)
-        b.load_state_dict(a.state_dict())
-        assert a.predict([names], stats) == b.predict([names], stats)
-        for pa, pb in zip(_params(a), _params(b)):
-            assert np.array_equal(pa, pb)
-
-
-class TestDtypePolicy:
-    def test_float32_end_to_end(self, name_task):
-        names, stats, labels = name_task
-        model = _small_cnn(epochs=2, dtype="float32").fit(
-            [names], stats, labels
-        )
-        assert all(p.dtype == np.float32 for p in model._params)
-        probs = model.predict_proba([names], stats)
-        assert probs.dtype == np.float32
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-5)
-
-    def test_float64_default_unchanged(self, name_task):
-        names, stats, labels = name_task
-        model = _small_cnn(epochs=1).fit([names], stats, labels)
-        assert model.dtype == "float64"
-        assert all(p.dtype == np.float64 for p in model._params)
-
-    def test_invalid_dtype_rejected(self):
-        with pytest.raises(ValueError, match="dtype"):
-            CharCNNClassifier(dtype="float16")
-
-    def test_float32_drift_within_budget(self, name_task):
-        """The float32 model may flip a few near-tie columns relative to
-        float64, but accuracy and agreement must stay within budget."""
-        names, stats, labels = name_task
-        f64 = _small_cnn(epochs=4).fit([names], stats, labels)
-        f32 = _small_cnn(epochs=4, dtype="float32").fit(
-            [names], stats, labels
-        )
-        p64 = f64.predict([names], stats)
-        p32 = f32.predict([names], stats)
-        agreement = np.mean([a == b for a, b in zip(p64, p32)])
-        assert agreement >= 0.95
-        acc64 = np.mean([p == t for p, t in zip(p64, labels)])
-        acc32 = np.mean([p == t for p, t in zip(p32, labels)])
-        assert abs(acc64 - acc32) <= 0.05

@@ -13,7 +13,7 @@ from repro.nn.layers import (
     ReLU,
 )
 from repro.nn.losses import softmax, softmax_cross_entropy
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 
 def numeric_gradient(loss_fn, param, eps=1e-5, max_checks=8, skip_rows=()):
@@ -207,16 +207,6 @@ class TestConvIm2col:
             assert np.allclose(conv.grads[1], ref[2], rtol=1e-12, atol=1e-12)
             assert np.allclose(grad_x, ref[3], rtol=1e-12, atol=1e-12)
 
-    def test_float32_dtype_threads_through(self, rng):
-        conv = Conv1D(4, 7, 3, rng, dtype=np.float32)
-        assert conv.weight.dtype == np.float32
-        x = rng.normal(size=(2, 10, 4)).astype(np.float32)
-        out = conv.forward(x, training=True)
-        assert out.dtype == np.float32
-        grad_x = conv.backward(out)
-        assert grad_x.dtype == np.float32
-        assert conv.grads[0].dtype == np.float32
-
     def test_backward_buffer_reuse_is_correct(self, rng):
         """Consecutive backward calls reuse the gradient buffer; the second
         result must not be polluted by the first."""
@@ -273,15 +263,6 @@ class TestLossesAndOptim:
             grad[0] = 2 * param[0]
             optimizer.step()
         assert abs(param[0]) < 0.1
-
-    def test_sgd_momentum(self):
-        param = np.array([5.0])
-        grad = np.zeros(1)
-        optimizer = SGD([param], [grad], lr=0.05, momentum=0.9)
-        for _ in range(200):
-            grad[0] = 2 * param[0]
-            optimizer.step()
-        assert abs(param[0]) < 0.2
 
 
 class TestEncoding:

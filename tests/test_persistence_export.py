@@ -83,6 +83,22 @@ class TestPersistence:
         # Typed subclass: existing except ModelPersistenceError still works.
         assert issubclass(ModelFormatError, ModelPersistenceError)
 
+    def test_artifact_with_legacy_dtype_key_loads(self, tiny_setup, tmp_path):
+        """Artifacts once carried a ``"dtype"`` key next to the model; the
+        loader never reads it, so those files still load and predict."""
+        import pickle
+
+        from repro.core.persistence import _MAGIC
+
+        corpus, model = tiny_setup
+        path = tmp_path / "legacy.model"
+        path.write_bytes(
+            _MAGIC
+            + pickle.dumps({"format_version": 1, "model": model, "dtype": None})
+        )
+        profiles = corpus.dataset.profiles[:20]
+        assert load_model(path).predict(profiles) == model.predict(profiles)
+
     def test_model_fingerprint(self, tiny_setup, tmp_path):
         _corpus, model = tiny_setup
         path = tmp_path / "fp.model"

@@ -39,9 +39,13 @@ def test_cli_main_runs_one_experiment(capsys):
     assert "by class" in captured.out
 
 
-def test_cli_rejects_unknown_experiment():
-    with pytest.raises(SystemExit):
-        main(["tableX"])
+def test_cli_rejects_unknown_experiment(capsys):
+    for arg, named in [("tableX", "tableX"), ("table18,tableX", "tableX"), (",", ",")]:
+        with pytest.raises(SystemExit) as exc_info:
+            main([arg])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unknown experiment(s) {named!r}; available: " in err
 
 
 def test_cli_observability_flags_write_manifest_and_metrics(tmp_path, capsys):

@@ -113,6 +113,24 @@ class TestSingleRequest:
         # Byte-identical to the offline pipeline, modulo timing fields.
         assert json.dumps(response["predictions"]) == json.dumps(offline)
 
+    def test_start_builds_codepoint_tables(self, served_model, monkeypatch):
+        """The stats kernel's lookup tables are built by ``start()``, so the
+        first request does not pay for them on its handler thread."""
+        from repro.core import stats
+
+        monkeypatch.setattr(stats, "_LUTS", None)
+        service = InferenceService(ModelRegistry.preloaded(served_model))
+        assert stats._LUTS is None
+        service.start()
+        service.drain(timeout=5)
+        tables = stats._LUTS
+        assert tables is not None
+        # a request afterwards reuses the tables built at start-up
+        registry = ModelRegistry.preloaded(served_model)
+        with running_server(registry, max_wait_s=0.0) as (client, _):
+            client.infer_csv_text(CSV_TEXT, table="sample")
+        assert stats._LUTS is tables
+
     def test_json_columns_payload(self, served_model):
         registry = ModelRegistry.preloaded(served_model)
         with running_server(registry, max_wait_s=0.0) as (client, _):
@@ -972,6 +990,16 @@ class TestOneIngestionPath:
         )
         if case == "utf8_bom":
             assert response["predictions"][0]["column"] == "id"
+
+    def test_parse_table_reads_csv_bodies(self):
+        """``parse_table`` keeps its CSV branch: perfbench's serve-small
+        traced pass times it as ``serve.parse_ms``."""
+        from repro.serve.http import parse_table
+
+        table = parse_table("text/csv", CSV_TEXT.encode(), name="t")
+        assert table.name == "t"
+        assert table.column_names == ["id", "salary", "state"]
+        assert len(table) == 40
 
     def test_json_answers_match_table_path(self, served_model):
         from repro.serve.http import parse_table
