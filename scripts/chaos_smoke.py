@@ -16,12 +16,17 @@ Stages (all at tiny scale, two experiments):
 4. **Verify** — every experiment's checkpointed output is byte-identical
    to the reference, and the poisoned cache quarantined at least one
    entry.
-5. **Streamed ingestion** — ``repro-infer --stream`` over a CSV whose
+5. **Serial kill** — the same run without ``--jobs``, whose one queue
+   worker is the ``repro-bench`` process itself, under a plan that
+   SIGKILLs the first experiment at attempt 0: the run must exit nonzero.
+   One fault-free ``--resume`` (which takes over the dead run's lease at
+   once) must bring every checkpointed output back equal to the reference.
+6. **Streamed ingestion** — ``repro-infer --stream`` over a CSV whose
    quoted fields span chunk boundaries: a ``csv.read_chunk`` fault plan
    must surface as a clean exit-2 ``CSVReadError`` (never a traceback),
    and the fault-free streamed rerun must print byte-identical output to
    the buffered path.
-6. **Distributed queue** — two concurrent ``repro-bench work`` processes
+7. **Distributed queue** — two concurrent ``repro-bench work`` processes
    pull-claim the same experiments from a fresh shared run dir; a fault
    plan SIGKILLs whichever worker runs the first experiment at attempt 0.
    The survivor must steal the stale lease, and ``repro-bench merge``
@@ -82,8 +87,37 @@ def run_bench(args: list[str], expect_rc: int | None = 0) -> subprocess.Complete
     return run_module("repro.benchmark.runner", args, expect_rc=expect_rc)
 
 
+def serial_stage(
+    workdir: Path, experiments: list[str], reference: dict[str, str],
+    cache_dir: Path, scale: int, seed: int,
+) -> None:
+    """Stage 5: a SIGKILLed serial run, then one fault-free ``--resume``."""
+    run_serial = workdir / "run-serial"
+    plan_path = workdir / "serial-plan.json"
+    plan_path.write_text(json.dumps({
+        "seed": 0,
+        "rules": [
+            {"point": "worker.run", "mode": "kill",
+             "match": {"experiment": experiments[0], "attempt": 0}},
+        ],
+    }, indent=2))
+    base = [",".join(experiments), "--scale", str(scale), "--seed", str(seed),
+            "--run-dir", str(run_serial), "--cache-dir", str(cache_dir)]
+    killed = run_bench([*base, "--fault-plan", str(plan_path)], expect_rc=None)
+    if killed.returncode == 0:
+        raise SystemExit("FAIL: serial run exited 0 despite a SIGKILL")
+    run_bench([*base, "--resume"])
+    recovered = checkpoint_outputs(run_serial)
+    for name in experiments:
+        if recovered.get(name) != reference[name]:
+            raise SystemExit(
+                f"FAIL: serial {name!r} output after resume differs from "
+                f"the fault-free reference"
+            )
+
+
 def stream_stage(workdir: Path) -> None:
-    """Stage 5: streamed ingestion under ``csv.read_chunk`` chaos."""
+    """Stage 6: streamed ingestion under ``csv.read_chunk`` chaos."""
     csv_path = workdir / "stream.csv"
     csv_path.write_bytes(
         b"id,comment,amount\n"
@@ -129,7 +163,7 @@ def queue_stage(
     workdir: Path, experiments: list[str], reference: dict[str, str],
     cache_dir: Path, scale: int, seed: int,
 ) -> None:
-    """Stage 6: two pull-claim workers, one SIGKILLed, merge == reference.
+    """Stage 7: two pull-claim workers, one SIGKILLed, merge == reference.
 
     The attempt-0 match makes the chaos deterministic with a shared plan:
     exactly one process runs the target at attempt 0 (O_EXCL claim), and
@@ -287,11 +321,15 @@ def main(argv: list[str] | None = None) -> int:
         if f"######## {name} (" not in resume.stdout:
             raise SystemExit(f"FAIL: resume run stdout missing {name!r}")
 
-    print("=== stage 5: streamed ingestion under csv.read_chunk chaos ===",
+    print("=== stage 5: serial run SIGKILLed, then --resume ===", flush=True)
+    serial_stage(workdir, experiments, reference, cache_ref,
+                 args.scale, args.seed)
+
+    print("=== stage 6: streamed ingestion under csv.read_chunk chaos ===",
           flush=True)
     stream_stage(workdir)
 
-    print("=== stage 6: distributed queue workers under SIGKILL chaos ===",
+    print("=== stage 7: distributed queue workers under SIGKILL chaos ===",
           flush=True)
     queue_stage(workdir, experiments, reference, cache_ref,
                 args.scale, args.seed)

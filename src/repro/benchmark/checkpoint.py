@@ -1,33 +1,35 @@
-"""Checkpoint/resume records for ``repro-bench all`` runs.
+"""Checkpoint records for ``repro-bench`` runs: the run dir's results.
 
-A run pointed at ``--run-dir DIR`` records each completed experiment as one
-small JSON file under ``DIR/experiments/`` the moment it finishes.  Records
-are written atomically (temp file + ``os.replace`` via
-:func:`repro.obs.export.write_json`), so a crash — or a chaos plan killing
-the whole process — can never leave a half-written record: an experiment is
-either durably complete or not recorded at all.
+Every ``repro-bench`` run keeps a work queue (:mod:`repro.benchmark.queue`)
+in ``--run-dir DIR`` or a temporary dir.  Each completed monolithic
+experiment, and each sharded experiment once merged, is one small JSON
+record under ``DIR/experiments/``; each completed shard of a sharded
+experiment is one under ``DIR/shards/<experiment>/``
+(:meth:`RunCheckpoint.record_shard`).  Records are written atomically
+(temp file + ``os.replace`` via :func:`repro.obs.export.write_json`), so a
+crash — or a chaos plan killing the whole process — can never leave a
+half-written record: a task is either durably complete or not recorded at
+all.
 
-``repro-bench all --run-dir DIR --resume`` then reloads the records and
-skips the completed experiments, replaying their stored output verbatim so
-the rendered run is byte-identical to an uninterrupted one.
-
-Sharded experiments additionally checkpoint each completed *sub-task*
-under ``DIR/shards/<experiment>/`` (:meth:`RunCheckpoint.record_shard`).
-A resumed run reloads them with :meth:`RunCheckpoint.completed_shards`,
-which validates that each record's stored parent experiment matches the
-directory it was found in — a record that disagrees (hand-moved files,
-colliding sanitized names) is discarded with a
-``checkpoint.shard_misattributed`` warning rather than letting one
+``repro-bench … --run-dir DIR --resume`` then skips the completed tasks:
+an experiment record is replayed verbatim (:meth:`RunCheckpoint.load`), so
+the rendered run is byte-identical to an uninterrupted one, and a sharded
+experiment with no merged record re-runs only its missing shards.  Shard
+records are reloaded with :meth:`RunCheckpoint.completed_shard_records`,
+which validates each payload's checksum and that the record's stored
+parent experiment matches the directory it was found in — a record that
+disagrees (hand-moved files, colliding sanitized names) is discarded with
+a ``checkpoint.shard_misattributed`` warning rather than letting one
 experiment resume from another's payloads.
 
-Distributed runs (:mod:`repro.benchmark.queue`) add **attempt fencing**:
-both writers accept an optional ``fence`` callable, evaluated immediately
-before the atomic write.  A writer whose lease was stolen while it was
-busy — a zombie — fails its fence, the write is skipped, and the event is
-counted as ``checkpoint.stale_attempt``; the stealer's record (same bytes,
-higher attempt) is the one that lands.  Writers also stamp the owning
-worker id into the record so the merged run's provenance names who
-produced each shard.
+The queue adds **attempt fencing**: both writers accept an optional
+``fence`` callable, evaluated immediately before the atomic write.  A
+writer whose lease was stolen while it was busy — a zombie — fails its
+fence, the write is skipped, and the event is counted as
+``checkpoint.stale_attempt``; the stealer's record (same bytes, higher
+attempt) is the one that lands.  Writers also stamp the owning worker id
+into the record so the merged run's provenance names who produced each
+shard.
 """
 
 from __future__ import annotations
@@ -125,9 +127,6 @@ class RunCheckpoint:
         path = self.path(name)
         if not path.is_file():
             return None
-        return self._load(path)
-
-    def _load(self, path: Path) -> dict | None:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 stored = json.load(handle)
@@ -140,22 +139,6 @@ class RunCheckpoint:
             )
             return None
         return stored
-
-    def completed(self) -> dict[str, dict]:
-        """name → stored record for every valid completion record on disk.
-
-        Records that fail to parse (torn by an older non-atomic writer, or
-        from a different schema) are skipped with a warning — the worst
-        case is rerunning an experiment, never trusting garbage.
-        """
-        out: dict[str, dict] = {}
-        if not self.experiments_dir.is_dir():
-            return out
-        for path in sorted(self.experiments_dir.glob("*.json")):
-            stored = self._load(path)
-            if stored is not None:
-                out[stored["name"]] = stored
-        return out
 
     def record_shard(self, experiment: str, shard_id: str, payload,
                      meta: dict | None = None, *, fence=None) -> bool:
@@ -196,27 +179,17 @@ class RunCheckpoint:
         "wall_s", "cpu_s", "pid", "attempt", "owner", "trace_id"
     )
 
-    def completed_shards(self, experiment: str) -> dict[str, object]:
-        """shard id → payload for the experiment's durable sub-tasks.
+    def completed_shard_records(self, experiment: str) -> dict[str, dict]:
+        """shard id → ``{"payload": obj, "meta": {...}}`` for the
+        experiment's durable sub-tasks.
 
         Only load run dirs you produced yourself — payloads are pickles.
-        Invalid records degrade to "not completed" (the shard reruns);
-        records whose stored parent experiment disagrees with the directory
-        they sit in are *discarded* and counted as
-        ``checkpoint.shard_misattributed`` — replaying them would graft one
-        experiment's payloads onto another.
-        """
-        return {
-            shard_id: rec["payload"]
-            for shard_id, rec in self.completed_shard_records(experiment).items()
-        }
-
-    def completed_shard_records(self, experiment: str) -> dict[str, dict]:
-        """shard id → ``{"payload": obj, "meta": {...}}`` with validation.
-
-        Same checksum/parent-attribution gauntlet as
-        :meth:`completed_shards`, but also surfaces each record's timing
-        and ownership metadata so a merging coordinator can aggregate
+        Invalid records (torn, or a payload whose sha256 disagrees) degrade
+        to "not completed" (the shard reruns); records whose stored parent
+        experiment disagrees with the directory they sit in are *discarded*
+        and counted as ``checkpoint.shard_misattributed`` — replaying them
+        would graft one experiment's payloads onto another.  ``meta`` holds
+        each record's timing and ownership, so the merge can aggregate
         wall/cpu time and attempt provenance across workers.
         """
         out: dict[str, dict] = {}

@@ -1,26 +1,30 @@
-"""``repro-bench … --jobs N``: N supervised queue workers over one run dir.
+"""``repro-bench``'s one execution path: experiments as work-queue tasks.
 
 Experiments are independent given the shared artifacts (every experiment
 seeds fresh RNGs from ``context.seed``), so they can run in worker
-processes.  A warm-up phase first materializes the artifacts most
-experiments share — the corpus, the 80:20 split, and the paper's RF — in
-the parent process; forked workers inherit them copy-on-write, and with an
-:class:`~repro.cache.ArtifactCache` enabled they are also persisted for
-later runs.
+processes.  :func:`run_parallel` is a thin layer over the
+:mod:`repro.benchmark.queue` protocol — the one ``repro-bench work``/
+``merge`` speak — so output, fencing, resume and crash recovery have one
+implementation, whatever ``--jobs`` is:
 
-:func:`run_parallel` is a thin driver over the :mod:`repro.benchmark.queue`
-protocol — the one ``repro-bench work``/``merge`` speak — so serial-equal
-output, fencing and crash recovery have one implementation:
-
-* it publishes the run spec into the run dir (the checkpoint's
-  ``--run-dir``, or a temporary dir removed on exit) and forks N processes,
-  each running :meth:`~repro.benchmark.queue.QueueWorker.run`;
+* it publishes the run spec into the run dir (``--run-dir``, or a
+  temporary dir removed on exit) and expands the experiments into tasks,
+  one per monolithic experiment and one per shard of a sharded one;
+* with ``--jobs N`` (N > 1), a platform that can fork, and more than one
+  task outstanding, it runs a warm-up phase that materializes the
+  artifacts most experiments share — the corpus, the 80:20 split, and the
+  paper's RF — then forks N processes, each running
+  :meth:`~repro.benchmark.queue.QueueWorker.run`; forked workers inherit
+  the artifacts copy-on-write.  Otherwise one
+  :class:`~repro.benchmark.queue.QueueWorker` runs the tasks in this
+  process, one :meth:`~repro.benchmark.queue.QueueWorker.step` at a time,
+  and needs no warm-up;
 * it yields each experiment's record in canonical order as soon as the
   experiment's tasks are terminal, built by
   :func:`~repro.benchmark.queue.merge_experiment` — the function
-  ``repro-bench merge`` uses — so stdout is byte-identical to a serial run;
-* it supervises the workers.  One that dies, stops heartbeating, or runs
-  one task longer than ``worker_timeout_s`` is killed and its lease
+  ``repro-bench merge`` uses — so stdout is the same at any ``--jobs``;
+* it supervises forked workers.  One that dies, stops heartbeating, or
+  runs one task longer than ``worker_timeout_s`` is killed and its lease
   abandoned, so the next claim steals the task at attempt + 1.
   ``max_restarts`` is the queue's cap on attempts per task: past it the
   claim records a terminal failure (``worker died … (after N attempts)``)
@@ -32,22 +36,30 @@ output, fencing and crash recovery have one implementation:
 A run without ``resume`` owns its run dir: it replaces the spec, forgets
 its own experiments' records, failures and leases (other experiments'
 records stay), and recomputes every task.  With ``resume`` it joins the
-dir: a spec that already covers its experiments at the same scale and seed
-is kept, completed records are reused (a sharded record's
-``resumed_shards`` counts the shards that were), its failure records are
-cleared so failed tasks run again, and tasks a live peer holds are left to
-it: any mix of ``--jobs`` drivers and ``repro-bench work`` processes on one
-run dir drains it together, and ``repro-bench merge`` still folds the whole
-run.  Each task's spans go to
+dir: it first abandons the leases of its tasks whose owner ran on this
+host and is gone (a SIGKILLed run), so they are stolen at once rather than
+after the stale window, and counts each task's attempt cap from the first
+attempt it saw.  A spec that already covers its experiments at the same
+scale and seed is kept (records of another scale or seed are forgotten as
+in a fresh run), completed records are reused (a sharded record's
+``resumed_shards`` counts the shards that were; a merged one is replayed
+whole), its failure records are cleared so failed tasks run again, and
+tasks a live peer holds are left to it: any mix of ``repro-bench``
+runs and ``repro-bench work`` processes on one run dir drains it
+together, and ``repro-bench merge`` still folds the whole run.  A forked
+worker writes each task's spans to
 ``<trace_dir>/<task-stem>.a<attempt>.jsonl``; the parent ingests those of
-the accepted attempts, so one trace covers the whole run.
+the accepted attempts, so one trace covers the whole run.  An in-process
+worker's spans are in the parent's tracer already.
 """
 
 from __future__ import annotations
 
+import copy
 import multiprocessing as mp
 import os
 import shutil
+import socket
 import sys
 import tempfile
 import time
@@ -96,28 +108,21 @@ def run_parallel(
     checkpoint=None,
     resume: bool = False,
     trace_dir: str | None = None,
-    experiments: Sequence[str] | None = None,
     scale: int | None = None,
 ) -> Iterator[dict]:
-    """Run experiments in ``jobs`` queue workers, yielding result (or
-    failure) records in the order of ``names`` as they become available.
+    """Run experiments as queue tasks, yielding result (or failure) records
+    in the order of ``names`` as they become available.
 
-    ``experiments`` (default ``names``) and ``scale`` are the whole run's
-    experiment list and ``--scale`` as given, published in the run spec
-    exactly as ``repro-bench work`` publishes them; a resumed run passes
-    only its unfinished experiments as ``names``.  The run dir is set up
-    before this returns, so a :class:`~repro.benchmark.queue.QueueError`
-    (a resumed run dir that live workers are draining for a different
-    run) is raised here.  Falls back to the in-process serial path when
-    only one job is asked for or the platform cannot fork.
+    ``names`` and ``scale`` (``--scale`` as given) are published in the run
+    spec exactly as ``repro-bench work`` publishes them.  The run dir is
+    set up before this returns, so a
+    :class:`~repro.benchmark.queue.QueueError` (a resumed run dir that live
+    workers are draining for a different run) is raised here.  ``jobs``
+    workers are forked only when ``jobs > 1``, the platform can fork, and
+    more than one task is outstanding; otherwise one worker runs the tasks
+    in this process.
     """
     names = list(names)
-    if warm:
-        warm_up(context)
-    if jobs <= 1 or "fork" not in mp.get_all_start_methods():
-        from repro.benchmark.runner import _iter_serial
-
-        return _iter_serial(names, context)
     if checkpoint is not None:
         run_dir, temporary = Path(checkpoint.run_dir), False
     else:
@@ -125,28 +130,92 @@ def run_parallel(
         temporary = True
     queue = WorkQueue(run_dir, max_restarts=max_restarts)
     spec = {
-        "experiments": list(names if experiments is None else experiments),
+        "experiments": names,
         "scale": scale,
         "seed": getattr(context, "seed", 0),
     }
     tasks = expand_tasks(names, context)
-    _install_spec(queue, spec, resume)  # a new temporary dir cannot conflict
-    if resume:
+    if resume:  # before the spec check, which counts live leases
+        _abandon_dead_owners(queue, tasks)
+    # A new temporary dir cannot conflict.
+    if _install_spec(queue, spec, resume):
         queue.clear_failures(names)
-    else:
+        _drop_unreadable_records(queue, tasks)
+        queue.note_first_attempts(tasks)
+    else:  # a fresh run, or records of another scale or seed
         queue.reset(tasks)
-    if trace_dir is None and telemetry.enabled:
-        trace_dir = str(run_dir / "traces")
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
+    if (jobs <= 1 or "fork" not in mp.get_all_start_methods()
+            or len(queue.outstanding(tasks)) <= 1):
+        jobs = 1
+    else:
+        if warm:
+            warm_up(context)
+        if trace_dir is None and telemetry.enabled:
+            trace_dir = str(run_dir / "traces")
+        if trace_dir is not None:
+            os.makedirs(trace_dir, exist_ok=True)
     return _drive(
         queue, context, names, tasks, jobs, worker_timeout_s, trace_dir,
         run_dir if temporary else None,
     )
 
 
-def _install_spec(queue: WorkQueue, spec: dict, resume: bool) -> None:
-    """Put the run's spec in the run dir.
+def _drop_unreadable_records(queue: WorkQueue, tasks: list[QueueTask]) -> None:
+    """Remove the records a resumed run cannot load (torn, another schema,
+    a bad checksum, another experiment's shard), so their tasks are redone
+    rather than trusted."""
+    checkpoint = queue.checkpoint
+    for name in dict.fromkeys(task.experiment for task in tasks):
+        if checkpoint.load(name) is not None:
+            continue
+        checkpoint.path(name).unlink(missing_ok=True)
+        readable = checkpoint.completed_shard_records(name)
+        for task in tasks:
+            if task.experiment == name and task.shard not in readable:
+                queue.record_path(task).unlink(missing_ok=True)
+
+
+def _process_gone(pid) -> bool:
+    """Whether no live process has this pid on this host: ``os.kill``
+    finds none, or ``/proc`` shows an unreaped zombie.  A pid that might
+    be alive (another user's, or no ``/proc`` to ask) counts as alive."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, TypeError, ValueError):
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state in ("Z", "X")
+
+
+def _abandon_dead_owners(queue: WorkQueue, tasks: list[QueueTask]) -> None:
+    """Hand back at once the leases of ``tasks`` whose owner ran on this
+    host and is gone (a SIGKILLed run), instead of waiting out the stale
+    window."""
+    keys = {task.key for task in tasks}
+    host = socket.gethostname()
+    for path, body in queue.held_leases():
+        if (body.get("task") in keys and body.get("host") == host
+                and _process_gone(body.get("pid"))):
+            telemetry.warning(
+                "queue.owner_gone", task=body["task"],
+                attempt=body.get("attempt"), pid=body.get("pid"),
+            )
+            queue.abandon(path, (
+                f"worker {body.get('owner')} (pid {body.get('pid')}) died "
+                f"before finishing {body['task']!r}"
+            ))
+
+
+def _install_spec(queue: WorkQueue, spec: dict, resume: bool) -> bool:
+    """Put the run's spec in the run dir; True when the records already
+    there were computed at this run's scale and seed, so a resume may reuse
+    them.
 
     A fresh run owns its dir and replaces any spec.  A resumed run joins:
     it keeps a spec at its scale and seed that lists all its experiments
@@ -156,21 +225,22 @@ def _install_spec(queue: WorkQueue, spec: dict, resume: bool) -> None:
     """
     if not resume:
         queue.publish_spec(spec, replace=True)
-        return
+        return False
     if not queue.spec_path.exists():
         queue.publish_spec(spec)  # validates against a racing publisher
-        return
+        return True
     try:
         existing = queue.load_spec()
     except QueueError:
-        existing = None  # unreadable or another schema: a conflict
-    if (
-        existing is not None
-        and existing.get("scale") == spec["scale"]
+        existing = {}  # unreadable or another schema: a conflict
+    same_params = (
+        existing.get("scale") == spec["scale"]
         and existing.get("seed") == spec["seed"]
-        and set(spec["experiments"]) <= set(existing.get("experiments", ()))
+    )
+    if same_params and set(spec["experiments"]) <= set(
+        existing.get("experiments", ())
     ):
-        return
+        return True
     live = [
         body.get("task") for path, body in queue.held_leases()
         if (leases.age_s(path) or float("inf")) <= queue.stale_after_s
@@ -182,32 +252,44 @@ def _install_spec(queue: WorkQueue, spec: dict, resume: bool) -> None:
             f"experiments, --scale and --seed, or a fresh --run-dir"
         )
     queue.publish_spec(spec, replace=True)
+    return same_params
 
 
 def _drive(queue: WorkQueue, context, names: list[str],
            tasks: list[QueueTask], jobs: int, worker_timeout_s, trace_dir,
            temporary_dir: Path | None) -> Iterator[dict]:
     resumed = {task.key for task in tasks if queue.is_completed(task)}
-    fleet = _Fleet(
-        queue, context, names, tasks, jobs, worker_timeout_s, trace_dir
-    )
+    fleet = worker = None
+    if jobs > 1:
+        fleet = _Fleet(
+            queue, context, names, tasks, jobs, worker_timeout_s, trace_dir
+        )
+    else:
+        worker = QueueWorker(queue, context, poll_s=_POLL_S, experiments=names)
     try:
         for name in names:
             mine = [task for task in tasks if task.experiment == name]
-            while queue.outstanding(mine):
-                fleet.supervise()
+            while outstanding := queue.outstanding(mine):
+                if fleet is not None:
+                    fleet.supervise()
+                elif worker.step(outstanding):
+                    continue
                 time.sleep(_POLL_S)
             record = merge_experiment(queue, context, name)
             if not record.get("failed"):
                 fresh = [task for task in mine if task.key not in resumed]
-                _ingest_spans(queue, trace_dir, fresh)
+                if fleet is not None:
+                    _ingest_spans(queue, trace_dir, fresh)
                 if record.get("sharded"):
                     record["resumed_shards"] = len(mine) - len(fresh)
                 elif not fresh:
                     record["resumed"] = True
             yield record
+        if worker is not None:
+            worker.finish()
     finally:
-        fleet.stop(grace_s=0.0 if queue.outstanding(tasks) else 5.0)
+        if fleet is not None:
+            fleet.stop(grace_s=0.0 if queue.outstanding(tasks) else 5.0)
         if temporary_dir is not None:
             shutil.rmtree(temporary_dir, ignore_errors=True)
 
@@ -229,12 +311,13 @@ def _ingest_spans(queue: WorkQueue, trace_dir: str | None,
         telemetry.tracer.ingest([SpanRecord.from_dict(r) for r in records])
 
 
-def _work(run_dir, owner: str, context, max_restarts: int,
-          trace_dir: str | None, names: list[str], parent_pid: int) -> None:
+def _work(queue: WorkQueue, owner: str, context, trace_dir: str | None,
+          names: list[str], parent_pid: int) -> None:
     """Forked worker entry point: one QueueWorker over this run's tasks,
     which stops claiming once the driver ``parent_pid`` is gone."""
     telemetry.metrics.reset()  # the summary reports this worker's counts
-    queue = WorkQueue(run_dir, owner=owner, max_restarts=max_restarts)
+    queue = copy.copy(queue)  # the parent's queue, attempt caps included
+    queue.owner = owner
     sys.exit(QueueWorker(
         queue, context, poll_s=_POLL_S, trace_dir=trace_dir,
         experiments=names, parent_pid=parent_pid,
@@ -270,9 +353,8 @@ class _Fleet:
         self.forks += 1
         process = mp.get_context("fork").Process(
             target=_work,
-            args=(self.queue.run_dir, owner, self.context,
-                  self.queue.max_restarts, self.trace_dir, self.names,
-                  os.getpid()),
+            args=(self.queue, owner, self.context, self.trace_dir,
+                  self.names, os.getpid()),
             name=f"repro-bench-worker-{self.forks}",
         )
         process.start()

@@ -49,12 +49,16 @@ counted as ``checkpoint.stale_attempt``.
 **Attempt cap.**  ``max_restarts`` (``--max-worker-restarts``; 1 for
 ``repro-bench work``) bounds the attempts per task.  The claim that would
 start attempt ``max_restarts + 1`` instead records a terminal failure
-(``worker died … (after N attempts)``).
+(``worker died … (after N attempts)``).  A ``repro-bench`` run counts
+each task's attempts from the first one its run saw
+(:meth:`WorkQueue.note_first_attempts`), so the leases a killed run left
+behind do not use up the attempts of the run that resumes it.
 
 **Completion.**  A task is complete when its checkpoint record exists
 (``<run-dir>/experiments/<name>.json`` or
 ``<run-dir>/shards/<experiment>/<shard>.json``); records are written
-atomically, so existence is an all-or-nothing signal.  A deterministic
+atomically, so existence is an all-or-nothing signal.  A shard task is
+also complete once its experiment's merged record exists.  A deterministic
 in-task exception is *not* retried: the worker records it under
 ``<run-dir>/failures/`` and the task is terminal.  Once one task of an
 experiment has failed, the experiment's unstarted tasks are cancelled
@@ -211,6 +215,8 @@ class WorkQueue:
         self.heartbeat_s = heartbeat_s
         self.max_restarts = max_restarts
         self.checkpoint = RunCheckpoint(self.run_dir)
+        #: task key → the attempt its cap counts from (default 0).
+        self.first_attempts: dict[str, int] = {}
 
     # -- directories ---------------------------------------------------------
     @property
@@ -330,8 +336,11 @@ class WorkQueue:
     # -- task state ----------------------------------------------------------
     def is_completed(self, task: QueueTask) -> bool:
         """Cheap durable-completion probe (record existence; writes are
-        atomic, so existence is all-or-nothing)."""
-        return self.record_path(task).is_file()
+        atomic, so existence is all-or-nothing).  A shard is also done once
+        its experiment's merged record exists."""
+        return self.checkpoint.path(task.experiment).is_file() or (
+            task.shard is not None and self.record_path(task).is_file()
+        )
 
     def is_failed(self, task: QueueTask) -> bool:
         return self.failure_path(task).is_file()
@@ -363,6 +372,13 @@ class WorkQueue:
     def _top_attempt(self, task: QueueTask) -> tuple[int, Path] | None:
         leases = self._task_leases(task)
         return leases[-1] if leases else None
+
+    def note_first_attempts(self, tasks: Iterable[QueueTask]) -> None:
+        """Count each task's attempt cap from its top lease now on disk:
+        the first attempt this run saw."""
+        for task in tasks:
+            top = self._top_attempt(task)
+            self.first_attempts[task.key] = 0 if top is None else top[0]
 
     # -- the protocol --------------------------------------------------------
     def try_claim(self, task: QueueTask, *, steal: bool = True) -> Lease | None:
@@ -403,19 +419,20 @@ class WorkQueue:
         for _, old in self._task_leases(task):
             if old != lease.path:
                 old.unlink(missing_ok=True)
-        if lease.attempt > self.max_restarts:
+        attempts = lease.attempt - self.first_attempts.get(task.key, 0)
+        if attempts > self.max_restarts:
             reason = previous.get("abandoned") or (
                 f"worker died or hung (lease stale for {age:.0f}s) before "
                 f"finishing {task.key!r}"
             )
             self.record_failure(
-                lease, f"{reason} (after {lease.attempt} attempts)", "",
+                lease, f"{reason} (after {attempts} attempts)", "",
                 attempt=attempt,
             )
             self.release(lease)
             telemetry.warning(
                 "queue.attempts_exhausted", task=task.key,
-                attempts=lease.attempt, reason=reason,
+                attempts=attempts, reason=reason,
             )
             return None
         telemetry.count("queue.stolen")
@@ -574,8 +591,10 @@ class WorkQueue:
 class QueueWorker:
     """One queue peer: claim → run → record (fenced) → release.
 
-    It works on the run spec's experiments, or only on ``experiments``
-    when given (a ``--jobs`` driver joining a larger run).  A worker a
+    :meth:`run` drains the queue one :meth:`step` (one task) at a time; a
+    serial ``repro-bench`` drives the steps itself, in-process.  It works
+    on the run spec's experiments, or only on ``experiments`` when given
+    (a ``repro-bench`` run joining a larger one).  A worker a
     ``--jobs`` driver forked gets the driver's pid as ``parent_pid``; it
     stops claiming once its parent pid changes (the driver died and the
     worker was reparented), after finishing the task it holds.  With
@@ -700,6 +719,54 @@ class QueueWorker:
         record["accepted"] = accepted
         return record
 
+    def step(self, outstanding: Iterable[QueueTask]) -> bool:
+        """Claim the first claimable task of ``outstanding``, run it, record
+        its result (fenced) and release it.  False when none was claimable
+        (all leased by live peers, or lost to racers)."""
+        queue = self.queue
+        lease = None
+        for task in outstanding:
+            lease = queue.try_claim(task)
+            if lease is not None:
+                break
+        if lease is None:
+            return False
+        task = lease.task
+        self.summary["claims"] += 1
+        if lease.stolen:
+            self.summary["steals"] += 1
+        lease.start_heartbeat(queue.heartbeat_s)
+        try:
+            record = self._run_task(task, lease)
+        except Exception as exc:  # deterministic: terminal, not retried
+            error = f"{type(exc).__name__}: {exc}"
+            queue.record_failure(lease, error, traceback.format_exc())
+            queue.release(lease)
+            self.summary["failed"] += 1
+            self.summary["tasks"].append({
+                "task": task.key, "attempt": lease.attempt,
+                "failed": True, "error": error,
+            })
+            telemetry.warning("queue.task_failed", task=task.key, error=error)
+        else:
+            queue.release(lease)
+            if record["accepted"]:
+                self.summary["completed"] += 1
+                telemetry.count("queue.completed")
+            self.summary["wall_s"] += record["wall_s"]
+            self.summary["tasks"].append({
+                "task": task.key, "attempt": lease.attempt,
+                "stolen": lease.stolen,
+                "wall_s": record["wall_s"],
+                "accepted": record["accepted"],
+            })
+            telemetry.info(
+                "queue.task_done", task=task.key,
+                attempt=lease.attempt, stolen=lease.stolen,
+            )
+        self._write_summary()
+        return True
+
     def run(self) -> int:
         """Drain the queue; 0 when every task completed, 1 on failures.
 
@@ -713,12 +780,9 @@ class QueueWorker:
             names = queue.load_spec()["experiments"]
         tasks = expand_tasks(names, self.context)
         self._write_summary()
-        done = 0
-        while True:
-            outstanding = queue.outstanding(tasks)
-            if not outstanding:
-                break
-            if self.max_tasks is not None and done >= self.max_tasks:
+        while outstanding := queue.outstanding(tasks):
+            if (self.max_tasks is not None
+                    and self.summary["completed"] >= self.max_tasks):
                 break
             if (self.parent_pid is not None
                     and os.getppid() != self.parent_pid):
@@ -726,54 +790,15 @@ class QueueWorker:
                     "queue.parent_gone", parent_pid=self.parent_pid
                 )
                 break
-            claimed = None
-            for task in outstanding:
-                claimed = queue.try_claim(task)
-                if claimed is not None:
-                    break
-            if claimed is None:
+            if not self.step(outstanding):
                 time.sleep(self.poll_s)
-                continue
-            lease, task = claimed, claimed.task
-            self.summary["claims"] += 1
-            if lease.stolen:
-                self.summary["steals"] += 1
-            lease.start_heartbeat(queue.heartbeat_s)
-            try:
-                record = self._run_task(task, lease)
-            except Exception as exc:  # deterministic: terminal, not retried
-                error = f"{type(exc).__name__}: {exc}"
-                queue.record_failure(lease, error, traceback.format_exc())
-                queue.release(lease)
-                self.summary["failed"] += 1
-                self.summary["tasks"].append({
-                    "task": task.key, "attempt": lease.attempt,
-                    "failed": True, "error": error,
-                })
-                telemetry.warning(
-                    "queue.task_failed", task=task.key, error=error
-                )
-            else:
-                queue.release(lease)
-                if record["accepted"]:
-                    done += 1
-                    self.summary["completed"] += 1
-                    telemetry.count("queue.completed")
-                self.summary["wall_s"] += record["wall_s"]
-                self.summary["tasks"].append({
-                    "task": task.key, "attempt": lease.attempt,
-                    "stolen": lease.stolen,
-                    "wall_s": record["wall_s"],
-                    "accepted": record["accepted"],
-                })
-                telemetry.info(
-                    "queue.task_done", task=task.key,
-                    attempt=lease.attempt, stolen=lease.stolen,
-                )
-            self._write_summary()
+        self.finish()
+        return 1 if self.summary["failed"] or queue.failures() else 0
+
+    def finish(self) -> None:
+        """Stamp the summary finished and write it."""
         self.summary["finished_at"] = time.time()
         self._write_summary()
-        return 1 if self.summary["failed"] or queue.failures() else 0
 
 
 # ---------------------------------------------------------------------------
@@ -826,11 +851,12 @@ def merge_experiment(
     """One terminal experiment's final record, folded from the run dir.
 
     A terminal failure of any of its tasks makes a failure record.  A
-    monolithic experiment replays its stored record.  A sharded one reloads
-    its shard payloads through the checkpoint layer's validated reader
-    (sha256 + parent-experiment attribution) and runs the experiment's
-    registered pure merge — byte-identical to a serial run — then records
-    the result under ``<run-dir>/experiments/<name>.json``.
+    stored experiment record — a monolithic experiment's, or a sharded
+    one's earlier merge — is replayed as it is.  Otherwise a sharded
+    experiment reloads its shard payloads through the checkpoint layer's
+    validated reader (sha256 + parent-experiment attribution) and runs the
+    experiment's registered pure merge — byte-identical to a serial run —
+    then records the result under ``<run-dir>/experiments/<name>.json``.
     """
     from repro.benchmark.sharding import get_shardable
 
@@ -845,21 +871,20 @@ def merge_experiment(
             "traceback": first.get("traceback", ""),
             "attempts": first.get("attempt", 0) + 1,
         }
-    shardable = get_shardable(name)
-    if shardable is None:
-        stored = queue.checkpoint.load(name)
-        if stored is None:
-            return {
-                "name": name,
-                "failed": True,
-                "error": f"no completion record for {name!r} in "
-                         f"{queue.run_dir}",
-                "traceback": "",
-                "attempts": 0,
-            }
+    stored = queue.checkpoint.load(name)
+    if stored is not None:
         return {
             **stored, "resumed": False,
             "attempts": (stored.get("attempt") or 0) + 1,
+        }
+    shardable = get_shardable(name)
+    if shardable is None:
+        return {
+            "name": name,
+            "failed": True,
+            "error": f"no completion record for {name!r} in {queue.run_dir}",
+            "traceback": "",
+            "attempts": 0,
         }
     shard_records = queue.checkpoint.completed_shard_records(name)
     shard_ids = shardable.shard_ids(context)

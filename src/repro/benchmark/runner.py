@@ -16,19 +16,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.benchmark.checkpoint import RunCheckpoint
 from repro.benchmark.context import BenchmarkContext
-from repro.benchmark.sharding import is_shardable
 from repro.cache import ArtifactCache
-from repro.faults import add_fault_flags, configure_faults, faults
+from repro.faults import add_fault_flags, configure_faults
 from repro.obs import (
     TRACEPARENT_ENV,
     RunManifest,
     TraceContext,
-    Tracer,
     add_observability_flags,
     configure_telemetry,
     set_process_context,
@@ -411,6 +408,83 @@ def _resolve_names(parser: argparse.ArgumentParser, text: str) -> list[str]:
     return names
 
 
+def _print_records(records, names: list[str],
+                   manifest: RunManifest) -> tuple[list[dict], list[dict]]:
+    """Print each record in order and add it to the manifest, then sum up
+    the failures on stderr.  Returns (completed records without their
+    output, failure records).
+
+    A stored record reprints its stored output and wall time, so a resumed
+    run's stdout is byte-identical to an uninterrupted one.
+    """
+    done: list[dict] = []
+    failures: list[dict] = []
+    for record in records:
+        name = record["name"]
+        if record.get("failed"):
+            print(f"\n######## {name} FAILED ########")
+            print(record["error"])
+            failures.append(record)
+            manifest.add_experiment(
+                name, wall_s=0.0, error=record["error"],
+                attempts=record.get("attempts", 1),
+            )
+            telemetry.warning(
+                "experiment.failed", experiment=name, error=record["error"]
+            )
+            continue
+        print(f"\n######## {name} ({record['wall_s']:.1f}s) ########")
+        print(record["output"])
+        manifest.add_experiment(
+            name, wall_s=record["wall_s"], cpu_s=record.get("cpu_s"),
+            pid=record.get("pid"), resumed=bool(record.get("resumed")),
+        )
+        telemetry.info(
+            "experiment.done", experiment=name, wall_s=record["wall_s"],
+            resumed=bool(record.get("resumed")),
+        )
+        done.append({k: v for k, v in record.items() if k != "output"})
+
+    if failures:
+        print(
+            f"\n{len(failures)} of {len(names)} experiment(s) failed:",
+            file=sys.stderr,
+        )
+        for failure in failures:
+            print(f"  - {failure['name']}: {failure['error']}", file=sys.stderr)
+        first_with_tb = next(
+            (f for f in failures if f.get("traceback")), None
+        )
+        if first_with_tb is not None:
+            print(
+                f"\nfirst failure ({first_with_tb['name']}) traceback:\n"
+                f"{first_with_tb['traceback']}",
+                file=sys.stderr, end="",
+            )
+        manifest.extra["failures"] = [
+            {k: v for k, v in f.items() if k != "traceback"} for f in failures
+        ]
+    return done, failures
+
+
+def _write_exports(args, manifest: RunManifest) -> None:
+    """Write the ``--metrics-out``, ``--trace-out`` and ``--manifest``
+    files that were asked for."""
+    if args.metrics_out:
+        write_json(args.metrics_out, telemetry.metrics.snapshot())
+        telemetry.info("metrics.written", path=args.metrics_out)
+    if args.trace_out:
+        n = write_spans_jsonl(args.trace_out, telemetry.spans)
+        telemetry.info(
+            "trace.written", path=args.trace_out, spans=n,
+            dropped=telemetry.tracer.dropped,
+        )
+    if args.manifest:
+        manifest.finalize(telemetry)
+        manifest.write(args.manifest)
+        telemetry.info("manifest.written", path=args.manifest)
+
+
 def _work_main(argv: list[str]) -> int:
     """``repro-bench work --run-dir DIR`` — one unsupervised queue worker.
 
@@ -500,13 +574,7 @@ def _work_main(argv: list[str]) -> int:
                 "stale_writes_rejected", "wall_s",
             )
         }
-        if args.metrics_out:
-            write_json(args.metrics_out, telemetry.metrics.snapshot())
-        if args.trace_out:
-            write_spans_jsonl(args.trace_out, telemetry.spans)
-        if args.manifest:
-            manifest.finalize(telemetry)
-            manifest.write(args.manifest)
+        _write_exports(args, manifest)
     if run_context is not None and inherited is None:
         set_process_context(None)
     return status
@@ -587,92 +655,18 @@ def _merge_main(argv: list[str]) -> int:
         print(f"merge: ERROR: {exc}", file=sys.stderr)
         return 3
 
-    failures: list[dict] = []
-    for record in q.merge_results(queue, context, names):
-        name = record["name"]
-        if record.get("failed"):
-            print(f"\n######## {name} FAILED ########")
-            print(record["error"])
-            failures.append(record)
-            manifest.add_experiment(
-                name, wall_s=0.0, error=record["error"],
-                attempts=record.get("attempts", 1),
-            )
-            continue
-        print(f"\n######## {name} ({record['wall_s']:.1f}s) ########")
-        print(record["output"])
-        manifest.add_experiment(
-            name, wall_s=record["wall_s"], cpu_s=record.get("cpu_s"),
-            resumed=bool(record.get("resumed")),
-        )
-
+    _, failures = _print_records(
+        q.merge_results(queue, context, names), names, manifest
+    )
     report = q.queue_report(queue, context)
     print(file=sys.stderr)
     print(q.render_queue_report(report), file=sys.stderr)
     manifest.extra["queue"] = report
-    if failures:
-        print(
-            f"\n{len(failures)} of {len(names)} experiment(s) failed:",
-            file=sys.stderr,
-        )
-        for failure in failures:
-            print(f"  - {failure['name']}: {failure['error']}", file=sys.stderr)
-        manifest.extra["failures"] = [
-            {k: v for k, v in f.items() if k != "traceback"} for f in failures
-        ]
-
     if observing:
-        if args.metrics_out:
-            write_json(args.metrics_out, telemetry.metrics.snapshot())
-        if args.trace_out:
-            write_spans_jsonl(args.trace_out, telemetry.spans)
-        if args.manifest:
-            manifest.finalize(telemetry)
-            manifest.write(args.manifest)
+        _write_exports(args, manifest)
     if run_context is not None and inherited is None:
         set_process_context(None)
     return 1 if failures else 0
-
-
-def _iter_serial(
-    names: list[str], context: BenchmarkContext
-) -> Iterator[dict]:
-    """In-process execution yielding the same record shape as
-    :func:`~repro.benchmark.parallel.run_parallel` (including failure
-    records), so the CLI consumes one stream either way.
-
-    A local, always-on tracer times each experiment; the printed elapsed
-    seconds and the manifest entries read the same span, so they agree.
-    """
-    timer = Tracer()
-    for name in names:
-        telemetry.info("experiment.start", experiment=name)
-        try:
-            with timer.span(f"experiment.{name}") as sp:
-                faults.point(
-                    "worker.run", experiment=name, attempt=0, pid=os.getpid()
-                )
-                output = run_experiment(name, context)
-        except Exception as exc:
-            telemetry.warning(
-                "experiment.failed", experiment=name, error=str(exc)
-            )
-            yield {
-                "name": name,
-                "failed": True,
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc(),
-                "attempts": 1,
-            }
-            continue
-        yield {
-            "name": name,
-            "output": output,
-            "wall_s": sp.wall_s,
-            "cpu_s": sp.cpu_s,
-            "pid": os.getpid(),
-            "attempt": 0,
-        }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -707,10 +701,12 @@ def main(argv: list[str] | None = None) -> int:
     perf = parser.add_argument_group("performance")
     perf.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="after a warm-up phase builds the shared artifacts (corpus, "
-             "split, OurRF), run N supervised work-queue processes; the heavy "
-             "experiments (table15, downstream, tuning) split into per-cell "
-             "tasks across them and merge deterministically",
+        help="run the experiments' work-queue tasks in N supervised worker "
+             "processes, forked after a warm-up phase builds the shared "
+             "artifacts (corpus, split, OurRF).  The heavy experiments "
+             "(table15, downstream, tuning) split into per-cell tasks that "
+             "merge deterministically.  With N=1 (the default), or at most "
+             "one task to run, one worker runs the tasks in this process",
     )
     perf.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -725,18 +721,23 @@ def main(argv: list[str] | None = None) -> int:
     robust = parser.add_argument_group("robustness")
     robust.add_argument(
         "--run-dir", default=None, metavar="DIR",
-        help="record per-experiment completion checkpoints under "
-             "DIR/experiments/ (atomic writes; enables --resume)",
+        help="keep the run's work queue in DIR: the run spec, task leases, "
+             "and atomic per-shard and per-experiment completion records "
+             "(default: a temporary dir removed on exit); enables --resume",
     )
     robust.add_argument(
         "--resume", action="store_true",
-        help="skip experiments already checkpointed in --run-dir, replaying "
-             "their stored output verbatim",
+        help="join --run-dir instead of resetting it: replay checkpointed "
+             "experiments verbatim, run only the shards and experiments "
+             "still missing, and take over at once the tasks of a run on "
+             "this host that was killed",
     )
     robust.add_argument(
         "--max-worker-restarts", type=int, default=1, metavar="N",
-        help="with --jobs, re-run a task whose worker crashed or hung up to "
-             "N times before recording it failed (default: 1)",
+        help="re-run a task whose worker crashed or hung up to N times "
+             "before recording it failed, counting from the first attempt "
+             "this run saw (default: 1).  A serial run is its own worker: "
+             "its crash ends the run, and --resume re-runs the task",
     )
     robust.add_argument(
         "--worker-timeout", type=float, default=None, metavar="SECONDS",
@@ -790,130 +791,31 @@ def main(argv: list[str] | None = None) -> int:
     if fault_plan is not None:
         manifest.extra["fault_plan"] = fault_plan.source
 
-    checkpoint = RunCheckpoint(args.run_dir) if args.run_dir else None
-    completed: dict[str, dict] = {}
-    if args.resume and checkpoint is not None:
-        completed = {
-            name: rec for name, rec in checkpoint.completed().items()
-            if name in names
-        }
-        if completed:
-            telemetry.info(
-                "run.resumed", run_dir=args.run_dir,
-                skipped=sorted(completed),
-            )
+    from repro.benchmark.parallel import run_parallel
+    from repro.benchmark.queue import QueueError
 
-    fresh = [name for name in names if name not in completed]
-    if args.jobs > 1 and (
-        len(fresh) > 1 or any(is_shardable(name) for name in fresh)
-    ):
-        from repro.benchmark.parallel import run_parallel
-        from repro.benchmark.queue import QueueError
-
-        trace_dir = None
-        if observing and args.trace_out:
-            trace_dir = args.trace_out + ".workers"
-        elif observing and args.run_dir:
-            trace_dir = os.path.join(args.run_dir, "traces")
-        try:
-            fresh_iter = run_parallel(
-                fresh, context, jobs=args.jobs,
-                max_restarts=args.max_worker_restarts,
-                worker_timeout_s=args.worker_timeout,
-                checkpoint=checkpoint,
-                resume=args.resume,
-                trace_dir=trace_dir,
-                experiments=names,
-                scale=args.scale,
-            )
-        except QueueError as exc:
-            print(f"repro-bench: ERROR: {exc}", file=sys.stderr)
-            if run_context is not None and inherited is None:
-                set_process_context(None)
-            return 2
-    else:
-        fresh_iter = _iter_serial(fresh, context)
-
-    def iter_records() -> Iterator[dict]:
-        """Resumed records replayed in place + fresh records as they finish,
-        merged back into canonical experiment order."""
-        for name in names:
-            if name in completed:
-                yield {**completed[name], "resumed": True}
-            else:
-                yield next(fresh_iter)
-        fresh_iter.close()  # stops --jobs workers before the run's exports
-
-    workers: list[dict] = []
-    failures: list[dict] = []
-    for record in iter_records():
-        name = record["name"]
-        if record.get("failed"):
-            print(f"\n######## {name} FAILED ########")
-            print(record["error"])
-            failures.append(record)
-            manifest.add_experiment(
-                name, wall_s=0.0, error=record["error"],
-                attempts=record.get("attempts", 1),
-            )
-            telemetry.warning(
-                "experiment.failed", experiment=name, error=record["error"]
-            )
-            continue
-        # A resumed record reprints its stored output and wall time, so a
-        # resumed run's stdout is byte-identical to an uninterrupted one.
-        print(f"\n######## {name} ({record['wall_s']:.1f}s) ########")
-        print(record["output"])
-        manifest.add_experiment(
-            name, wall_s=record["wall_s"], cpu_s=record.get("cpu_s"),
-            pid=record.get("pid"), resumed=bool(record.get("resumed")),
+    try:
+        records = run_parallel(
+            names, context, jobs=args.jobs,
+            max_restarts=args.max_worker_restarts,
+            worker_timeout_s=args.worker_timeout,
+            checkpoint=RunCheckpoint(args.run_dir) if args.run_dir else None,
+            resume=args.resume,
+            trace_dir=args.trace_out + ".workers"
+            if observing and args.trace_out else None,
+            scale=args.scale,
         )
-        telemetry.info(
-            "experiment.done", experiment=name, wall_s=record["wall_s"],
-            resumed=bool(record.get("resumed")),
-        )
-        if checkpoint is not None and not record.get("resumed"):
-            checkpoint.record(record)
-        workers.append(
-            {k: v for k, v in record.items() if k != "output"}
-        )
-    if observing and args.jobs > 1:
-        manifest.extra["workers"] = workers
+    except QueueError as exc:
+        print(f"repro-bench: ERROR: {exc}", file=sys.stderr)
+        if run_context is not None and inherited is None:
+            set_process_context(None)
+        return 2
 
-    if failures:
-        print(
-            f"\n{len(failures)} of {len(names)} experiment(s) failed:",
-            file=sys.stderr,
-        )
-        for failure in failures:
-            print(f"  - {failure['name']}: {failure['error']}", file=sys.stderr)
-        first_with_tb = next(
-            (f for f in failures if f.get("traceback")), None
-        )
-        if first_with_tb is not None:
-            print(
-                f"\nfirst failure ({first_with_tb['name']}) traceback:\n"
-                f"{first_with_tb['traceback']}",
-                file=sys.stderr, end="",
-            )
-        manifest.extra["failures"] = [
-            {k: v for k, v in f.items() if k != "traceback"} for f in failures
-        ]
-
+    done, failures = _print_records(records, names, manifest)
     if observing:
-        if args.metrics_out:
-            write_json(args.metrics_out, telemetry.metrics.snapshot())
-            telemetry.info("metrics.written", path=args.metrics_out)
-        if args.trace_out:
-            n = write_spans_jsonl(args.trace_out, telemetry.spans)
-            telemetry.info(
-                "trace.written", path=args.trace_out, spans=n,
-                dropped=telemetry.tracer.dropped,
-            )
-        if args.manifest:
-            manifest.finalize(telemetry)
-            manifest.write(args.manifest)
-            telemetry.info("manifest.written", path=args.manifest)
+        if args.jobs > 1:
+            manifest.extra["workers"] = done
+        _write_exports(args, manifest)
     if run_context is not None and inherited is None:
         # This run minted the process context; clear it (and the exported
         # env var) so a later in-process invocation starts its own trace.

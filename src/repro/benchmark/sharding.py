@@ -20,22 +20,27 @@ A :class:`Shardable` declares that decomposition:
   the payload *values* (never of completion order), so sharded output is
   byte-identical to a serial run at any ``--jobs``.
 
-Tracing: ``--jobs`` workers are forked after the runner installs the run's
-:class:`~repro.obs.context.TraceContext` as the process default, so every
-``queue.task`` span (and everything beneath it) carries the run's
-trace_id; each worker writes its task's spans to a per-attempt file that
-the parent ingests into its tracer, the run manifest, and ``--trace-out``.
+Every ``repro-bench`` run, serial or ``--jobs``, runs a sharded
+experiment as one queue task per shard, so a ``--resume`` re-runs only
+the shards still missing.  Tracing: ``--jobs`` workers are forked after the
+runner installs the run's :class:`~repro.obs.context.TraceContext` as the
+process default, so every ``queue.task`` span (and everything beneath it)
+carries the run's trace_id; each forked worker writes its task's spans to
+a per-attempt file that the parent ingests into its tracer, the run
+manifest, and ``--trace-out``.  A serial run's tasks record their spans in
+the parent's tracer directly.
 
-The serial experiment entry points (``run_table15``,
-``run_downstream_experiment``, ``run_tuning``) are themselves implemented
-as "run every shard in canonical order, then merge", so the serial and
-sharded paths share one code path and parity holds by construction —
+The experiment entry points (``run_table15``,
+``run_downstream_experiment``, ``run_tuning``), which ``run_experiment``
+and the paper-shape benches call, are themselves implemented as "run every
+shard in canonical order, then merge", so they and the queued shards share
+one code path and parity holds by construction —
 ``tests/test_shard_parity.py`` locks this down differentially.
 
 Registration is lazy (module path + attribute) so importing this module
 does not pull in the heavy experiment modules; the registry is consulted
 by :func:`repro.benchmark.queue.expand_tasks`, which turns the run's
-experiments into queue tasks for ``--jobs`` and ``repro-bench work``.
+experiments into queue tasks for ``repro-bench`` and ``repro-bench work``.
 """
 
 from __future__ import annotations
@@ -77,11 +82,6 @@ _SHARDABLE_FACTORIES: dict[str, tuple[str, str]] = {
     "downstream": ("repro.benchmark.downstream_exp", "DownstreamShards"),
     "tuning": ("repro.benchmark.tuning_exp", "TuningShards"),
 }
-
-
-def is_shardable(name: str) -> bool:
-    """True when the named experiment declares a shard decomposition."""
-    return name in _SHARDABLE_FACTORIES
 
 
 def shardable_names() -> list[str]:

@@ -1,9 +1,11 @@
 """Docs and CI name only scripts, evidence files and tests that exist.
 
 A deleted ``scripts/*.py`` or ``BENCH_*.json`` leaves dangling commands in
-the docs and CI steps that fail only when someone runs them, and a deleted
-test class leaves a ``tests/<file>.py::Class`` pointer to evidence that is
-gone.  CHANGES.md is history, so it is not checked.
+the docs and CI steps that fail only when someone runs them, a cited
+``*_output.txt`` run record that is not in the repo is evidence nobody can
+check, and a deleted test class leaves a ``tests/<file>.py::Class``
+pointer to evidence that is gone.  CHANGES.md is history, so it is not
+checked.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: ``scripts/<name>.py`` and ``BENCH_<name>.json``; ``*`` matches as a glob.
-_REFERENCE = re.compile(r"scripts/[\w*-]+\.py|BENCH_[\w*]+\.json")
+#: ``scripts/<name>.py``, ``BENCH_<name>.json`` and recorded run output
+#: ``<name>_output.txt``; ``*`` matches as a glob.
+_REFERENCE = re.compile(
+    r"scripts/[\w*-]+\.py|BENCH_[\w*]+\.json|[\w*/-]*_output\.txt"
+)
 
 #: ``tests/<file>.py::Name`` or ``tests/<file>.py::Class::test`` node ids.
 _NODE_ID = re.compile(r"(tests/[\w/]+\.py)::(\w+)(?:::(\w+))?")
@@ -42,6 +47,19 @@ def test_referenced_files_exist(path):
         if not any(REPO_ROOT.glob(ref))
     })
     assert not missing, f"{path.name} names files that do not exist: {missing}"
+
+
+def test_reference_check_catches_missing_run_records():
+    text = (
+        "Recorded runs: `test_output.txt` (540 tests passed) and "
+        "`benchmarks/bench_output.txt`; `scripts/chaos_smoke.py`."
+    )
+    refs = _REFERENCE.findall(text)
+    assert refs == [
+        "test_output.txt", "benchmarks/bench_output.txt",
+        "scripts/chaos_smoke.py",
+    ]
+    assert [ref for ref in refs if not any(REPO_ROOT.glob(ref))] == refs[:2]
 
 
 def _module_names(path: Path) -> dict[str, set[str] | None]:

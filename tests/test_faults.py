@@ -487,16 +487,16 @@ class TestAtomicExports:
             {"name": "table1", "output": "rows\n", "wall_s": 1.25,
              "cpu_s": 1.0, "pid": 42, "attempt": 0}
         )
-        completed = checkpoint.completed()
-        assert completed["table1"]["output"] == "rows\n"
-        assert completed["table1"]["wall_s"] == 1.25
+        stored = checkpoint.load("table1")
+        assert stored["output"] == "rows\n"
+        assert stored["wall_s"] == 1.25
 
     def test_checkpoint_skips_torn_records(self, tmp_path):
         checkpoint = RunCheckpoint(tmp_path / "run")
         checkpoint.record({"name": "good", "output": "ok"})
         (checkpoint.experiments_dir / "torn.json").write_text('{"name": "to')
-        completed = checkpoint.completed()
-        assert set(completed) == {"good"}
+        assert checkpoint.load("good")["output"] == "ok"
+        assert checkpoint.load("torn") is None
         assert counter("checkpoint.invalid") == 1
 
 
@@ -687,6 +687,25 @@ class TestRunnerCLI:
         assert rc == 0
         assert calls == ["fake_a", "fake_b"]  # fake_a resumed, fake_b fresh
         assert "fake_a-output" in out and "fake_b-output" in out
+
+    def test_resume_at_another_scale_recomputes(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """Records made at one --scale are not replayed as another's."""
+        calls: list[str] = []
+
+        def fake(context):
+            calls.append(context.n_examples)
+            return f"rows at scale {context.n_examples}"
+
+        monkeypatch.setitem(runner.EXPERIMENTS, "fake_a", fake)
+        argv = ["fake_a", "--run-dir", str(tmp_path / "run"), "--seed", "1"]
+        assert runner.main([*argv, "--scale", "300"]) == 0
+        assert runner.main([*argv, "--scale", "200", "--resume"]) == 0
+        assert runner.main([*argv, "--scale", "200", "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert calls == [300, 200]
+        assert out.count("rows at scale 200") == 2
 
 
 # ---------------------------------------------------------------------------

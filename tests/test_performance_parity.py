@@ -519,7 +519,7 @@ class TestSerialVsParallel:
         base = ["--scale", "300", "--seed", "1",
                 "--cache-dir", str(tmp_path / "cache")]
         serial = _run_cli(["table18"] + base)
-        # single-experiment runs take the serial path even with --jobs
+        # one outstanding task runs in-process even with --jobs
         parallel = _run_cli(["table18"] + base + ["--jobs", "2"])
         assert serial == parallel
 

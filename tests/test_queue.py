@@ -29,6 +29,7 @@ import json
 import multiprocessing as mp
 import os
 import signal
+import sys
 import time
 
 import pytest
@@ -347,7 +348,7 @@ class TestStealAndFence:
             {"name": "mono", "output": "fresh", "attempt": 1},
             fence=lease_b.is_current,
         )
-        assert owner_b.checkpoint.completed()["mono"]["output"] == "fresh"
+        assert owner_b.checkpoint.load("mono")["output"] == "fresh"
 
     def test_attempts_only_grow_so_a_zombie_stays_fenced(self, tmp_path):
         """Regression: zombie A holds a0, B steals a1 (a0 is unlinked), then
@@ -371,7 +372,7 @@ class TestStealAndFence:
             fence=lease_a.is_current,
         )
         assert counter("checkpoint.stale_attempt") == 1
-        assert owner_c.checkpoint.completed_shards("fake_heavy") == {}
+        assert owner_c.checkpoint.completed_shard_records("fake_heavy") == {}
 
     def test_steal_past_the_attempt_cap_records_failure(self, tmp_path):
         _, _, task = self._stale_lease(tmp_path)
@@ -685,9 +686,6 @@ class TestEngineCooperation:
         """``repro-bench A,B --jobs 2 --resume`` on a ``work`` fleet's dir
         (B already done) runs A and leaves the fleet's spec as it was."""
         monkeypatch.setattr(parallel, "warm_up", lambda context: None)
-        monkeypatch.setattr(
-            runner, "is_shardable", lambda name: name == fake_shardable
-        )
         run_dir = tmp_path / "run"
         names = [fake_shardable, "fake_mono"]
         peer = WorkQueue(run_dir, owner="peer")
@@ -870,6 +868,82 @@ class TestDriverDeath:
             assert summary["claims"] == summary["completed"] == 1
             assert summary["pid"] in worker_pids
             assert "finished_at" in summary
+
+
+#: Far longer than any join bound below: a resume that waited out the
+#: stale window instead of taking over a dead run's leases would time out.
+_LONG_STALE_S = 3600.0
+
+
+def _gated_run(run_dir, jobs: int, resume: bool) -> None:
+    """Forked child: ``repro-bench fake_gated`` as its own process group."""
+    os.setpgid(0, 0)
+    argv = ["fake_gated", "--run-dir", str(run_dir), "--jobs", str(jobs)]
+    sys.exit(runner.main(argv + (["--resume"] if resume else [])))
+
+
+class TestResumeAfterSigkill:
+    @pytest.fixture
+    def gate_dir(self, monkeypatch, tmp_path):
+        gate_dir = tmp_path / "gate"
+        gate_dir.mkdir()
+        monkeypatch.setitem(runner.EXPERIMENTS, "fake_gated", _fake_mono)
+        original = sharding.get_shardable.__wrapped__
+
+        def patched(name):
+            if name == "fake_gated":
+                return GatedShards(gate_dir)
+            return original(name)
+
+        monkeypatch.setattr(sharding, "get_shardable", patched)
+        monkeypatch.setitem(
+            WorkQueue.__init__.__kwdefaults__, "stale_after_s", _LONG_STALE_S
+        )
+        return gate_dir
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_killed_run_resumes_twice_without_the_stale_window(
+        self, gate_dir, tmp_path, jobs
+    ):
+        """SIGKILL the run's process group while its tasks wait at the
+        gate, twice: each resume takes over the dead owners' leases at
+        once, and the second one still runs the tasks, whose attempt cap
+        counts from the attempt it found."""
+        run_dir = tmp_path / "run"
+        held = 1 if jobs == 1 else 2
+        pid_files = lambda: sorted(gate_dir.glob("*.pid"))  # noqa: E731
+        for resume in (False, True):
+            for path in pid_files():
+                path.unlink()
+            run = _FORK.Process(target=_gated_run, args=(run_dir, jobs, resume))
+            run.start()
+            try:
+                assert _wait_for(lambda: len(pid_files()) == held)
+            finally:
+                os.killpg(run.pid, signal.SIGKILL)
+                run.join(timeout=60.0)
+            assert run.exitcode == -signal.SIGKILL
+            leases = WorkQueue(run_dir, owner="observer").held_leases()
+            assert len(leases) == held
+
+        (gate_dir / "go").touch()
+        run = _FORK.Process(target=_gated_run, args=(run_dir, jobs, True))
+        run.start()
+        run.join(timeout=60.0)
+        if run.is_alive():
+            os.killpg(run.pid, signal.SIGKILL)
+            run.join(timeout=60.0)
+        assert run.exitcode == 0
+        checkpoint = RunCheckpoint(run_dir)
+        assert checkpoint.load("fake_gated")["output"] == ",".join(GATED_SHARDS)
+        attempts = sorted(
+            record["meta"]["attempt"] for record
+            in checkpoint.completed_shard_records("fake_gated").values()
+        )
+        assert attempts == [0] * (4 - held) + [2] * held
+        assert WorkQueue(run_dir, owner="observer").held_leases() == []
 
 
 # ---------------------------------------------------------------------------

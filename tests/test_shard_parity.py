@@ -31,7 +31,7 @@ from repro.benchmark import runner, sharding
 from repro.benchmark.checkpoint import RunCheckpoint
 from repro.benchmark.context import BenchmarkContext
 from repro.benchmark.parallel import run_parallel
-from repro.benchmark.sharding import Shardable, get_shardable, is_shardable
+from repro.benchmark.sharding import Shardable, get_shardable
 from repro.faults import FaultPlan, faults
 from repro.obs import telemetry
 
@@ -59,6 +59,14 @@ def plan(*rules, seed=0) -> FaultPlan:
 
 def counter(name: str) -> float:
     return telemetry.metrics.counter(name).value
+
+
+def payloads(checkpoint: RunCheckpoint, experiment: str) -> dict:
+    """shard id → payload of the experiment's valid shard records."""
+    return {
+        shard: record["payload"] for shard, record
+        in checkpoint.completed_shard_records(experiment).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +136,11 @@ class TestShardMergeParity:
     def test_registry_names_match_experiments(self, shard_context):
         for name in sharding.shardable_names():
             assert name in runner.EXPERIMENTS
-            assert is_shardable(name)
             shardable = get_shardable(name)
             assert shardable is not None and shardable.name == name
             ids = shardable.shard_ids(shard_context)
             assert ids and len(ids) == len(set(ids))
         assert get_shardable("table18") is None
-        assert not is_shardable("table18")
 
     def test_tuning_sharded_equals_serial_any_order(self, shard_context):
         from repro.benchmark.tuning_exp import render_tuning, run_tuning
@@ -258,7 +264,7 @@ class TestEngineShardParity:
         assert record["attempts"] == 2  # at least one shard was re-run
         assert counter("worker.restart") >= 1
         # every shard still checkpointed under its parent experiment
-        done = checkpoint.completed_shards("fake_heavy")
+        done = payloads(checkpoint, "fake_heavy")
         assert set(done) == set(FAKE_SHARDS)
 
     @needs_fork
@@ -298,7 +304,7 @@ class TestShardCheckpoints:
         stored = json.loads(path.read_text())
         assert stored["experiment"] == "expA"
         assert stored["shard"] == "logreg/fold0"
-        assert checkpoint.completed_shards("expA") == {
+        assert payloads(checkpoint, "expA") == {
             "logreg/fold0": {"score": 0.5}
         }
 
@@ -313,10 +319,10 @@ class TestShardCheckpoints:
         target = checkpoint.shard_path("expB", "cell/a")
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copy(source, target)
-        assert checkpoint.completed_shards("expB") == {}
+        assert payloads(checkpoint, "expB") == {}
         assert counter("checkpoint.shard_misattributed") == 1
         # the rightful owner still resumes
-        assert checkpoint.completed_shards("expA") == {"cell/a": {"value": 1}}
+        assert payloads(checkpoint, "expA") == {"cell/a": {"value": 1}}
 
     def test_corrupt_payload_degrades_to_rerun(self, tmp_path):
         checkpoint = RunCheckpoint(tmp_path / "run")
@@ -325,14 +331,14 @@ class TestShardCheckpoints:
         stored = json.loads(path.read_text())
         stored["payload"] = stored["payload"][:-8] + "AAAAAAAA"
         path.write_text(json.dumps(stored))
-        assert checkpoint.completed_shards("expA") == {}
+        assert payloads(checkpoint, "expA") == {}
         assert counter("checkpoint.invalid") == 1
 
     def test_shard_ids_with_separators_do_not_collide(self, tmp_path):
         checkpoint = RunCheckpoint(tmp_path / "run")
         checkpoint.record_shard("exp", "a/b", {"v": 1})
         checkpoint.record_shard("exp", "a_b", {"v": 2})
-        done = checkpoint.completed_shards("exp")
+        done = payloads(checkpoint, "exp")
         assert done == {"a/b": {"v": 1}, "a_b": {"v": 2}}
 
     @needs_fork
@@ -347,9 +353,11 @@ class TestShardCheckpoints:
                 checkpoint=checkpoint,
             )
         )[0]
-        assert set(checkpoint.completed_shards("fake_heavy")) == set(FAKE_SHARDS)
+        assert set(payloads(checkpoint, "fake_heavy")) == set(FAKE_SHARDS)
 
-        # Simulate a crash that lost half the shards: delete two records.
+        # Simulate a crash before the merge that lost half the shards:
+        # delete the merged record and two shard records.
+        os.unlink(checkpoint.path("fake_heavy"))
         for shard in FAKE_SHARDS[:2]:
             os.unlink(checkpoint.shard_path("fake_heavy", shard))
 
@@ -383,3 +391,115 @@ class TestShardCheckpoints:
         assert records[0]["output"] == fake_heavy_serial()
         assert records[0]["resumed_shards"] == len(FAKE_SHARDS)
         assert counter("queue.completed") == 0
+
+
+# ---------------------------------------------------------------------------
+# A serial run is one in-process queue worker
+# ---------------------------------------------------------------------------
+
+
+def _spans(path) -> list[str]:
+    from repro.obs.export import read_jsonl
+
+    return [record["name"] for record in read_jsonl(path)]
+
+
+class TestSerialQueuePath:
+    @pytest.fixture
+    def shard_calls(self, fake_shardable, monkeypatch):
+        """The shard ids ``fake_heavy`` ran in this process, in order."""
+        calls: list[str] = []
+        run_shard = FakeHeavyShards.run_shard
+
+        def counted(self, context, shard_id):
+            calls.append(shard_id)
+            return run_shard(self, context, shard_id)
+
+        monkeypatch.setattr(FakeHeavyShards, "run_shard", counted)
+        return calls
+
+    def test_serial_run_queues_each_shard_once(
+        self, shard_calls, tmp_path, capsys
+    ):
+        trace = tmp_path / "spans.jsonl"
+        argv = ["fake_heavy,fake_mono", "--run-dir", str(tmp_path / "run")]
+        assert runner.main([*argv, "--trace-out", str(trace)]) == 0
+        out = capsys.readouterr().out
+        assert shard_calls == list(FAKE_SHARDS)
+        assert out.index(fake_heavy_serial()) < out.index("mono-output")
+        names = _spans(trace)
+        assert names.count("queue.task") == len(FAKE_SHARDS) + 1
+        assert names.count("queue.merge") == 1
+        assert not (tmp_path / "run" / "traces").exists()  # no span files
+
+    def test_serial_resume_reruns_only_the_missing_shards(
+        self, shard_calls, tmp_path, capsys
+    ):
+        run_dir = tmp_path / "run"
+        argv = ["fake_heavy", "--run-dir", str(run_dir)]
+        assert runner.main(argv) == 0
+        capsys.readouterr()
+        checkpoint = RunCheckpoint(run_dir)
+        assert set(payloads(checkpoint, "fake_heavy")) == set(FAKE_SHARDS)
+        # Stopped two shards short of the merge.
+        os.unlink(checkpoint.path("fake_heavy"))
+        for shard in FAKE_SHARDS[2:]:
+            os.unlink(checkpoint.shard_path("fake_heavy", shard))
+        shard_calls.clear()
+
+        assert runner.main([*argv, "--resume"]) == 0
+        assert shard_calls == list(FAKE_SHARDS[2:])
+        assert fake_heavy_serial() in capsys.readouterr().out
+
+    def test_merged_record_resumes_byte_identical_without_a_merge(
+        self, shard_calls, tmp_path, capsys
+    ):
+        argv = ["fake_heavy", "--run-dir", str(tmp_path / "run")]
+        assert runner.main(argv) == 0
+        first = capsys.readouterr().out
+        shard_calls.clear()
+        telemetry.reset()
+
+        trace = tmp_path / "resumed.jsonl"
+        assert runner.main([*argv, "--resume", "--trace-out", str(trace)]) == 0
+        assert capsys.readouterr().out == first
+        assert shard_calls == []
+        assert "queue.merge" not in _spans(trace)
+        assert "queue.task" not in _spans(trace)
+
+    def test_experiment_record_without_shard_records_is_replayed(
+        self, shard_calls, tmp_path, capsys
+    ):
+        """A run dir whose sharded experiment was recorded whole (as the
+        serial path before the queue did) resumes without recomputing."""
+        run_dir = tmp_path / "run"
+        RunCheckpoint(run_dir).record(
+            {"name": "fake_heavy", "output": "recorded whole", "wall_s": 1.5}
+        )
+        argv = ["fake_heavy", "--run-dir", str(run_dir), "--resume"]
+        assert runner.main(argv) == 0
+        assert "######## fake_heavy (1.5s) ########\nrecorded whole\n" in (
+            capsys.readouterr().out
+        )
+        assert shard_calls == []
+
+    def test_unreadable_records_are_redone_on_resume(
+        self, shard_calls, tmp_path, capsys
+    ):
+        run_dir = tmp_path / "run"
+        argv = ["fake_heavy,fake_mono", "--run-dir", str(run_dir)]
+        assert runner.main(argv) == 0
+        first = capsys.readouterr().out
+        checkpoint = RunCheckpoint(run_dir)
+        checkpoint.path("fake_mono").write_text('{"name": "fake_mo')
+        os.unlink(checkpoint.path("fake_heavy"))
+        torn = checkpoint.shard_path("fake_heavy", "cell/b")
+        torn.write_text(torn.read_text()[:40])
+        shard_calls.clear()
+
+        assert runner.main([*argv, "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert shard_calls == ["cell/b"]
+        assert fake_heavy_serial() in out and "mono-output" in out
+        assert out.count("########") == first.count("########")
+        assert checkpoint.load("fake_mono")["output"] == "mono-output"
