@@ -28,7 +28,13 @@ import json
 import os
 import sys
 
-from repro.core.models import RandomForestModel
+from repro.core.models import (
+    DEFAULT_SEED,
+    DEFAULT_TRAIN_EXAMPLES,
+    DEFAULT_TREES,
+    RandomForestModel,
+    train_default_forest,
+)
 from repro.core.persistence import load_model, model_fingerprint, save_model
 from repro.core.pipeline import TypeInferencePipeline
 from repro.faults import add_fault_flags, configure_faults
@@ -42,8 +48,6 @@ from repro.obs.export import write_json, write_spans_jsonl
 from repro.core.featurize import ProfileError
 from repro.tabular.csv_io import CSVReadError, load_csv_table
 
-DEFAULT_TRAIN_EXAMPLES = 1500
-
 
 def _obtain_model(args, manifest: RunManifest) -> RandomForestModel:
     if args.model and os.path.exists(args.model):
@@ -51,17 +55,12 @@ def _obtain_model(args, manifest: RunManifest) -> RandomForestModel:
             model = load_model(args.model)
         manifest.extra["model_fingerprint"] = model_fingerprint(args.model)
         return model
-    model = RandomForestModel(
-        n_estimators=args.trees, random_state=args.seed
-    )
     with telemetry.span(
         "infer.train", n_examples=args.train_examples, trees=args.trees
     ):
-        from repro.datagen.corpus import generate_corpus
-
-        corpus = generate_corpus(n_examples=args.train_examples, seed=args.seed)
-        model.fit(corpus.dataset)
-    return model
+        return train_default_forest(
+            args.train_examples, args.trees, args.seed
+        )
 
 
 def _render(predictions: list[dict], as_json: bool) -> str:
@@ -145,8 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit JSON instead of a table")
-    parser.add_argument("--trees", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trees", type=int, default=DEFAULT_TREES)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
         "--train-examples", type=int, default=DEFAULT_TRAIN_EXAMPLES
     )

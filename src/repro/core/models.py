@@ -253,6 +253,28 @@ class CNNModel(TypeInferenceModel):
         return list(self.cnn.classes_)
 
 
+#: Knobs of the forest ``repro-infer`` and ``repro-serve`` train when they
+#: are given no saved artifact.
+DEFAULT_TRAIN_EXAMPLES = 1500
+DEFAULT_TREES = 50
+DEFAULT_SEED = 0
+
+
+def train_default_forest(
+    n_examples: int = DEFAULT_TRAIN_EXAMPLES,
+    trees: int = DEFAULT_TREES,
+    seed: int = DEFAULT_SEED,
+) -> RandomForestModel:
+    """The default Random Forest, fitted on the seed's synthetic corpus."""
+    # Imported here: loading a saved artifact never needs the generator.
+    from repro.datagen.corpus import generate_corpus
+
+    corpus = generate_corpus(n_examples=n_examples, seed=seed)
+    return RandomForestModel(n_estimators=trees, random_state=seed).fit(
+        corpus.dataset
+    )
+
+
 def default_models(feature_set=("stats", "name")) -> dict[str, TypeInferenceModel]:
     """The paper's five model families with sensible laptop-scale defaults."""
     return {

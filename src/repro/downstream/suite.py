@@ -55,9 +55,8 @@ def served_assignments(
 ) -> TypeAssignment:
     """Types inferred by a live ``repro-serve`` instance.
 
-    ``client`` is a :class:`~repro.serve.client.ServeClient` (or
-    :class:`~repro.serve.balance.FleetClient`); ``model`` optionally routes
-    to one registered model.  This closes the ROADMAP's "Table 5 against a
+    ``client`` is a :class:`~repro.serve.client.ServeClient`; ``model``
+    optionally routes to one registered model.  This closes the ROADMAP's "Table 5 against a
     live server" gap: the downstream harness consumes served predictions
     exactly like offline ones, so offline-vs-served score parity is a
     one-line comparison (see ``tests/test_serve_fleet.py``).

@@ -8,9 +8,8 @@ swap), profile every upload as it streams in through
 concurrent uploads through :class:`~repro.serve.batching.MicroBatcher`
 (amortizing one ``predict_proba`` call across requests), and expose it
 all over stdlib HTTP (``POST /v1/infer``, ``POST /v1/models/<name>/infer``,
-``GET /healthz``, ``GET /metrics``).  Horizontal scale-out is client-side:
-:class:`~repro.serve.balance.FleetClient` balances over N serve processes
-sharing one artifact cache.  See ``docs/serving.md``.
+``GET /healthz``, ``GET /metrics``).  A deployment is one such process
+holding its saved artifacts.  See ``docs/serving.md``.
 """
 
 import importlib
@@ -19,8 +18,6 @@ import importlib
 #: so a client-only process (``from repro.serve.client import
 #: ServeClient``) never imports the service stack, numpy or the models.
 _EXPORTS = {
-    "FleetClient": "repro.serve.balance",
-    "NoBackendError": "repro.serve.balance",
     "DeadlineExceededError": "repro.serve.batching",
     "InferenceRequest": "repro.serve.batching",
     "MicroBatcher": "repro.serve.batching",

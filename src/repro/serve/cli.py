@@ -3,7 +3,7 @@
 Usage::
 
     repro-serve --model rf.model                  # serve a saved artifact
-    repro-serve --cache-dir ~/.cache/repro        # train-through-cache
+    repro-serve                                   # train the default forest
     repro-serve --port 0                          # ephemeral port (printed)
 
 The process answers immediately: while the primary model loads (or trains),
@@ -20,7 +20,11 @@ import signal
 import sys
 import threading
 
-from repro.cache import ArtifactCache
+from repro.core.models import (
+    DEFAULT_SEED,
+    DEFAULT_TRAIN_EXAMPLES,
+    DEFAULT_TREES,
+)
 from repro.faults import add_fault_flags, configure_faults
 from repro.obs import (
     RunManifest,
@@ -56,14 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="which registered model answers un-routed requests "
              "(default: the first --model)",
     )
+    model.add_argument("--trees", type=int, default=DEFAULT_TREES)
+    model.add_argument("--seed", type=int, default=DEFAULT_SEED)
     model.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="artifact cache for the train-at-startup path (default "
-             "$REPRO_CACHE_DIR; a warm cache makes restarts near-instant)",
+        "--train-examples", type=int, default=DEFAULT_TRAIN_EXAMPLES
     )
-    model.add_argument("--trees", type=int, default=50)
-    model.add_argument("--seed", type=int, default=0)
-    model.add_argument("--train-examples", type=int, default=1500)
     model.add_argument(
         "--wait-ready", action="store_true",
         help="block until the primary model is resident before serving "
@@ -136,28 +137,24 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 1
     default_name = args.default_model
-    if default_name is not None and specs and default_name not in names:
+    if default_name is not None and default_name not in names:
         print(f"repro-serve: --default-model {default_name!r} is not among "
               f"--model names {names}", file=sys.stderr)
         return 1
 
-    cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    cache = ArtifactCache(cache_dir) if cache_dir and not specs else None
-    train = TrainConfig(
-        n_examples=args.train_examples, trees=args.trees, seed=args.seed
-    )
     if specs:
         if default_name is None:
             default_name = names[0]
-        default_path = dict(specs)[default_name]
         registry = ModelRegistry(
-            model_path=default_path, train=train, default_name=default_name
+            model_path=dict(specs)[default_name], default_name=default_name
         )
         for name, path in specs:
             if name != default_name:
                 registry.register(name, model_path=path)
     else:
-        registry = ModelRegistry(cache=cache, train=train)
+        registry = ModelRegistry(train=TrainConfig(
+            n_examples=args.train_examples, trees=args.trees, seed=args.seed
+        ))
     service = InferenceService(
         registry,
         max_batch_columns=args.max_batch_columns,
@@ -191,7 +188,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         scale=args.train_examples,
         model_path=",".join(path for _, path in specs) or None,
-        cache_dir=str(cache_dir) if cache_dir else None,
     )
 
     # The startup line is machine-readable on purpose: tests and
@@ -231,8 +227,9 @@ def main(argv: list[str] | None = None) -> int:
             telemetry.info("serve.trace_exported", path=args.trace_out,
                            spans=n, dropped=telemetry.tracer.dropped)
         if args.manifest:
-            manifest.extra["model_fingerprint"] = registry.fingerprint
-            manifest.extra["model_state"] = registry.state
+            default = registry.resolve()
+            manifest.extra["model_fingerprint"] = default.fingerprint
+            manifest.extra["model_state"] = default.state
             manifest.extra["models"] = registry.describe_all()
             manifest.finalize(telemetry)
             manifest.write(args.manifest)

@@ -38,7 +38,7 @@ Stdlib-only (``http.server.ThreadingHTTPServer`` + ``json``).  Endpoints:
 
 ``GET /v1/models``
     Every registered model with name, state (loading/ready/draining),
-    fingerprint, and swap generation — the fleet routing table.
+    fingerprint, and swap generation — the server's routing table.
 
 ``GET /healthz``
     Service + model state, including every registered model's fingerprint,

@@ -2,10 +2,8 @@
 
 The registry owns the service's model lifecycle.  Each named
 :class:`ModelEntry` loads in the background — either
-``core/persistence.load_model`` on a saved artifact or a train-through-cache
-via ``repro/cache`` (guarded by the cross-process
-:class:`~repro.cache.FileLock`, so N serve processes sharing one artifact
-cache elect exactly one trainer and the rest warm-fetch) — while the service
+``core/persistence.load_model`` on a saved artifact or, for a default entry
+with no artifact, ``core/models.train_default_forest`` — while the service
 answers requests for a still-loading model with the paper's 11-rule
 flowchart baseline marked ``degraded: true``.
 
@@ -35,6 +33,12 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.models import (
+    DEFAULT_SEED,
+    DEFAULT_TRAIN_EXAMPLES,
+    DEFAULT_TREES,
+    train_default_forest,
+)
 from repro.core.persistence import (
     fingerprint_model,
     load_model,
@@ -43,7 +47,6 @@ from repro.core.persistence import (
 from repro.obs import telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache import ArtifactCache
     from repro.core.models import TypeInferenceModel
 
 #: Registry key of the entry created by ``ModelRegistry()`` when no model
@@ -74,19 +77,9 @@ class SwapInProgressError(RuntimeError):
 class TrainConfig:
     """Hyper-parameters for the default train-at-startup path."""
 
-    n_examples: int = 1500
-    trees: int = 50
-    seed: int = 0
-
-    def cache_params(self) -> dict:
-        return {
-            "purpose": "serve-default-rf",
-            "model": "rf",
-            "n_estimators": self.trees,
-            "random_state": self.seed,
-            "n_examples": self.n_examples,
-            "corpus_seed": self.seed,
-        }
+    n_examples: int = DEFAULT_TRAIN_EXAMPLES
+    trees: int = DEFAULT_TREES
+    seed: int = DEFAULT_SEED
 
 
 class SwapHandle:
@@ -172,12 +165,10 @@ class ModelEntry:
         self,
         name: str,
         model_path: str | None = None,
-        cache: "ArtifactCache | None" = None,
         train: TrainConfig | None = None,
     ):
         self.name = name
         self.model_path = model_path
-        self.cache = cache
         self.train = train or TrainConfig()
         self._model: "TypeInferenceModel | None" = None
         self._cv = threading.Condition()
@@ -216,7 +207,7 @@ class ModelEntry:
         ):
             try:
                 model, fingerprint, source = self._load_payload(
-                    self.model_path, self.cache, self.train
+                    self.model_path, self.train
                 )
             except BaseException as exc:
                 with self._cv:
@@ -241,43 +232,24 @@ class ModelEntry:
         )
         self._ready.set()
 
+    def _preload(self, model: "TypeInferenceModel") -> None:
+        """Make this not-yet-started entry ready with an in-memory model."""
+        self._model = model
+        self.state = "ready"
+        self.fingerprint = fingerprint_model(model)
+        self.source = "preloaded"
+        self.model_label = getattr(model, "name", type(model).__name__)
+        self._ready.set()
+
     @staticmethod
     def _load_payload(
-        model_path: str | None,
-        cache: "ArtifactCache | None",
-        train: TrainConfig,
+        model_path: str | None, train: TrainConfig
     ) -> tuple["TypeInferenceModel", str, str]:
         """(model, fingerprint, source) for an artifact or a startup train."""
         if model_path is not None:
             model = load_model(model_path)
             return model, model_fingerprint(model_path), f"artifact:{model_path}"
-
-        def build():
-            from repro.core.models import RandomForestModel
-            from repro.datagen.corpus import generate_corpus
-
-            corpus = generate_corpus(
-                n_examples=train.n_examples, seed=train.seed
-            )
-            model = RandomForestModel(
-                n_estimators=train.trees, random_state=train.seed
-            )
-            model.fit(corpus.dataset)
-            return model
-
-        if cache is not None:
-            # N serve processes sharing one cache dir elect exactly one
-            # trainer: the lock serializes the fetch, so the losers find a
-            # warm entry instead of re-fitting the same model in parallel.
-            from repro.cache import FileLock
-
-            lock_path = os.path.join(
-                os.fspath(cache.root), "registry-train.lock"
-            )
-            with FileLock(lock_path, timeout_s=900.0):
-                model = cache.fetch("model", train.cache_params(), build)
-            return model, fingerprint_model(model), "trained (cache-backed)"
-        model = build()
+        model = train_default_forest(train.n_examples, train.trees, train.seed)
         return model, fingerprint_model(model), "trained"
 
     # -- access --------------------------------------------------------------
@@ -310,10 +282,9 @@ class ModelEntry:
         self,
         model_path: str | None = None,
         model: "TypeInferenceModel | None" = None,
-        cache: "ArtifactCache | None" = None,
-        train: TrainConfig | None = None,
     ) -> SwapHandle:
-        """Replace this entry's artifact with zero downtime.
+        """Replace this entry's artifact (a saved path or an in-memory
+        model) with zero downtime.
 
         The replacement loads on a background thread while the old model
         keeps serving; on success the route flips atomically, ``generation``
@@ -321,6 +292,8 @@ class ModelEntry:
         leased against it has finished.  On a load failure the old model
         keeps serving untouched (``handle.failed``, ``last_swap_error``).
         """
+        if model_path is None and model is None:
+            raise ValueError("swap() needs a model_path or a model")
         with self._cv:
             if self.swap_in_progress:
                 raise SwapInProgressError(
@@ -334,16 +307,14 @@ class ModelEntry:
             handle = SwapHandle(self.name, self.generation + 1)
         thread = threading.Thread(
             target=self._swap_worker,
-            args=(handle, model_path, model, cache, train or self.train),
+            args=(handle, model_path, model),
             name=f"serve-model-swap-{self.name}",
             daemon=True,
         )
         thread.start()
         return handle
 
-    def _swap_worker(
-        self, handle: SwapHandle, model_path, model, cache, train
-    ) -> None:
+    def _swap_worker(self, handle: SwapHandle, model_path, model) -> None:
         with telemetry.span(
             "serve.model_swap", model=self.name,
             target_generation=handle.target_generation,
@@ -354,7 +325,7 @@ class ModelEntry:
                         model, fingerprint_model(model), "swapped (in-memory)"
                     )
                 else:
-                    payload = self._load_payload(model_path, cache, train)
+                    payload = self._load_payload(model_path, self.train)
             except BaseException as exc:
                 error = f"{type(exc).__name__}: {exc}"
                 with self._cv:
@@ -427,8 +398,8 @@ class ModelEntry:
 class ModelRegistry:
     """Named, fingerprinted model slots with per-request routing.
 
-    ``ModelRegistry(model_path=...)`` / ``ModelRegistry(cache=..., train=...)``
-    create the *default* entry exactly as the single-model registry did;
+    ``ModelRegistry(model_path=...)`` / ``ModelRegistry(train=...)`` create
+    the *default* entry from a saved artifact or a startup train;
     :meth:`register` adds more resident models, :meth:`resolve` routes a
     request's model name (None → default) to its entry, and
     :meth:`swap` hot-swaps one entry's artifact with zero downtime.
@@ -437,11 +408,9 @@ class ModelRegistry:
     def __init__(
         self,
         model_path: str | None = None,
-        cache: "ArtifactCache | None" = None,
         train: TrainConfig | None = None,
         default_name: str | None = None,
     ):
-        self.cache = cache
         self.train = train or TrainConfig()
         if default_name is None:
             default_name = (
@@ -453,16 +422,12 @@ class ModelRegistry:
         self.default_name = default_name
         self._started = False
         self._entries[default_name] = ModelEntry(
-            default_name, model_path=model_path, cache=cache, train=self.train
+            default_name, model_path=model_path, train=self.train
         )
 
     @classmethod
     def preloaded(
-        cls,
-        model: "TypeInferenceModel",
-        fingerprint: str | None = None,
-        source: str = "preloaded",
-        name: str | None = None,
+        cls, model: "TypeInferenceModel", name: str | None = None
     ) -> "ModelRegistry":
         """A registry that is already ``ready`` with an in-memory model.
 
@@ -472,13 +437,7 @@ class ModelRegistry:
         name = name or getattr(model, "name", type(model).__name__)
         registry = cls(default_name=name)
         registry._started = True
-        entry = registry._entries[name]
-        entry._model = model
-        entry.state = "ready"
-        entry.fingerprint = fingerprint or fingerprint_model(model)
-        entry.source = source
-        entry.model_label = getattr(model, "name", type(model).__name__)
-        entry._ready.set()
+        registry._entries[name]._preload(model)
         return registry
 
     # -- membership ----------------------------------------------------------
@@ -487,51 +446,25 @@ class ModelRegistry:
         name: str,
         model_path: str | None = None,
         model: "TypeInferenceModel | None" = None,
-        fingerprint: str | None = None,
-        cache: "ArtifactCache | None" = None,
-        train: TrainConfig | None = None,
-        default: bool = False,
     ) -> ModelEntry:
-        """Add a named model: a saved artifact, an in-memory model, or a
-        train-through-cache config.  Loads in the background once the
-        registry has been started (:meth:`load`)."""
+        """Add a named model: a saved artifact, an in-memory model, or
+        (neither given) the registry's startup train.  Loads in the
+        background once the registry has been started (:meth:`load`)."""
         with self._lock:
             if name in self._entries:
                 raise ValueError(
                     f"model {name!r} is already registered; use swap() to "
                     f"replace its artifact"
                 )
-            entry = ModelEntry(
-                name, model_path=model_path,
-                cache=cache if cache is not None else (
-                    self.cache if model_path is None else None
-                ),
-                train=train or self.train,
-            )
+            entry = ModelEntry(name, model_path=model_path, train=self.train)
             if model is not None:
-                entry._model = model
-                entry.state = "ready"
-                entry.fingerprint = fingerprint or fingerprint_model(model)
-                entry.source = "preloaded"
-                entry.model_label = getattr(
-                    model, "name", type(model).__name__
-                )
-                entry._ready.set()
+                entry._preload(model)
             self._entries[name] = entry
-            if default:
-                self.default_name = name
             started = self._started
         if started and model is None:
             entry.load()
         telemetry.count("serve.model_registered")
         return entry
-
-    def set_default(self, name: str) -> None:
-        """Point the default route at an already-registered model."""
-        with self._lock:
-            if name not in self._entries:
-                raise UnknownModelError(name, list(self._entries))
-            self.default_name = name
 
     def resolve(self, name: str | None = None) -> ModelEntry:
         """The entry a request routes to (None → the default model)."""
@@ -551,13 +484,9 @@ class ModelRegistry:
         name: str | None = None,
         model_path: str | None = None,
         model: "TypeInferenceModel | None" = None,
-        cache: "ArtifactCache | None" = None,
-        train: TrainConfig | None = None,
     ) -> SwapHandle:
         """Hot-swap one entry's artifact (None → the default model)."""
-        return self.resolve(name).swap(
-            model_path=model_path, model=model, cache=cache, train=train
-        )
+        return self.resolve(name).swap(model_path=model_path, model=model)
 
     # -- loading -------------------------------------------------------------
     def load(self, background: bool = True) -> "ModelRegistry":
@@ -575,47 +504,6 @@ class ModelRegistry:
             for entry in entries:
                 entry.wait_ready()
         return self
-
-    # -- default-entry access (single-model API, unchanged) ------------------
-    def _default(self) -> ModelEntry:
-        with self._lock:
-            return self._entries[self.default_name]
-
-    def wait_ready(self, timeout: float | None = None) -> bool:
-        """Block until the default entry finished loading; True when ready."""
-        return self._default().wait_ready(timeout=timeout)
-
-    @property
-    def ready(self) -> bool:
-        return self._default().ready
-
-    @property
-    def state(self) -> str:
-        return self._default().state
-
-    @property
-    def fingerprint(self) -> str | None:
-        return self._default().fingerprint
-
-    @property
-    def source(self) -> str | None:
-        return self._default().source
-
-    @property
-    def model_name(self) -> str | None:
-        return self._default().model_label
-
-    @property
-    def error(self) -> str | None:
-        return self._default().error
-
-    def current(self, name: str | None = None) -> "TypeInferenceModel | None":
-        """The routed model, or None while loading / after failure."""
-        return self.resolve(name).current()
-
-    def describe(self) -> dict:
-        """The default entry's ``model`` block of ``/healthz``."""
-        return self._default().describe()
 
     def describe_all(self) -> dict:
         """Every registered model's status block, keyed by registry name."""

@@ -258,22 +258,23 @@ class InferenceService:
     # -- status surfaces -----------------------------------------------------
     def health(self) -> dict:
         """The ``/healthz`` body: service + model state in one dict."""
+        default = self.registry.resolve()
         if self.draining:
             status = "draining"
-        elif self.registry.ready:
+        elif default.ready:
             status = "ready"
         else:
             status = "degraded"  # serving, but via the rules fallback
         return {
             "status": status,
-            "ready": self.registry.ready,
+            "ready": default.ready,
             "uptime_s": round(time.time() - self.started_at, 3),
             "queue_depth": self.batcher.queue_depth,
             "queue_limit": self.batcher.queue_limit,
             "max_batch_columns": self.batcher.max_batch_columns,
             "max_wait_ms": round(1000.0 * self.batcher.max_wait_s, 3),
             "scan_cache_max_values": self.scan_cache_max_values,
-            "model": self.registry.describe(),
+            "model": default.describe(),
             "default_model": self.registry.default_name,
             "models": self.registry.describe_all(),
         }

@@ -810,6 +810,7 @@ class TestServeChaos:
         artifact.write_bytes(b"never actually read")
         registry = ModelRegistry(model_path=str(artifact))
         registry.load(background=False)
-        assert registry.ready is False
-        assert registry.state == "failed"
-        assert "OSError" in registry.error
+        entry = registry.resolve()
+        assert entry.ready is False
+        assert entry.state == "failed"
+        assert "OSError" in entry.error

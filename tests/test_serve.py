@@ -7,6 +7,7 @@ spawns a real ``repro-serve`` process.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import re
@@ -22,9 +23,18 @@ from pathlib import Path
 import pytest
 
 from repro.cache import ArtifactCache
-from repro.core.models import LogRegModel, RandomForestModel
-from repro.core.persistence import save_model
+from repro.core.models import (
+    LogRegModel,
+    RandomForestModel,
+    train_default_forest,
+)
+from repro.core.persistence import (
+    fingerprint_model,
+    model_fingerprint,
+    save_model,
+)
 from repro.core.pipeline import TypeInferencePipeline
+from repro.datagen.corpus import generate_corpus
 from repro.obs import telemetry
 from repro.serve import InferenceService, ModelRegistry, ServeClientError
 from repro.serve.client import ServeClient
@@ -144,7 +154,7 @@ class TestSingleRequest:
             health = client.healthz()
         assert [p["column"] for p in response["predictions"]] == ["price", "city"]
         assert health["ready"] is True
-        assert health["model"]["fingerprint"] == registry.fingerprint
+        assert health["model"]["fingerprint"] == registry.resolve().fingerprint
 
     def test_bad_payloads_get_400(self, served_model):
         registry = ModelRegistry.preloaded(served_model)
@@ -616,6 +626,15 @@ class TestClientFootprint:
         modules = ("numpy", "scipy", "repro.serve.service", "repro.core.models")
         assert self._loaded(code, modules) == []
 
+    def test_every_export_resolves(self):
+        # A name left in the lazy map after its module or class is gone
+        # would otherwise fail only on first use.
+        import repro.serve
+
+        for name in repro.serve.__all__:
+            module = importlib.import_module(repro.serve._EXPORTS[name])
+            assert getattr(repro.serve, name) is getattr(module, name)
+
     @pytest.fixture(scope="class")
     def one_row_inputs(self, served_model_path, small_corpus, tmp_path_factory):
         root = tmp_path_factory.mktemp("footprint")
@@ -822,6 +841,83 @@ class TestSigtermDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+
+
+def _fixture_forest(n_examples, trees, seed):
+    """perfbench/common.py::model_fixtures's forest, copied as it stands."""
+    corpus = generate_corpus(n_examples=n_examples, seed=seed)
+    model = RandomForestModel(n_estimators=trees, random_state=seed)
+    model.fit(corpus.dataset)
+    return model
+
+
+class TestStartupTraining:
+    """``repro-serve`` without ``--model``, ``repro-infer`` without a saved
+    artifact and perfbench's fixtures all train one and the same forest."""
+
+    @pytest.mark.parametrize("knobs", [(80, 5, 0), (60, 3, 7)])
+    def test_default_forest_matches_perfbench_fixture(self, knobs):
+        assert fingerprint_model(train_default_forest(*knobs)) == \
+            fingerprint_model(_fixture_forest(*knobs))
+
+    def test_served_forest_matches_repro_infer_save(self, tmp_path):
+        from repro.cli import main as infer_main
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.serve", "--port", "0",
+                "--wait-ready", "--train-examples", "80", "--trees", "5",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=env,
+        )
+        try:
+            banner = proc.stdout.readline()
+            assert "(model: training)" in banner, banner
+            url = next(
+                tok for tok in banner.split() if tok.startswith("http://")
+            )
+            client = ServeClient(url)
+            health = client.healthz()
+            client.close()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert health["ready"] is True
+        assert health["model"]["source"] == "trained"
+
+        csv_path = tmp_path / "sample.csv"
+        csv_path.write_text(CSV_TEXT)
+        saved = tmp_path / "rf.model"
+        assert infer_main([
+            str(csv_path), "--train-examples", "80", "--trees", "5",
+            "--save", str(saved),
+        ]) == 0
+        assert health["model"]["fingerprint"] == model_fingerprint(saved)
+
+    def test_default_model_without_model_exits_1(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.serve", "--port", "0",
+                "--default-model", "main",
+                "--train-examples", "60", "--trees", "1",
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 1
+        assert "--default-model 'main'" in result.stderr
+        assert "listening" not in result.stdout
 
 
 class TestCachePrune:

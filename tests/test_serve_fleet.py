@@ -1,11 +1,10 @@
-"""Fleet-scale serving tests: multi-model registry, hot swap, scale-out.
+"""Multi-model serving tests: registry routing, hot swap, keep-alive.
 
-Differential tests in the PR 5 tradition: every distributed behavior —
-per-request model routing, a mid-run zero-downtime swap, a 2/4-backend
-balancer, a backend killed under seeded chaos — must answer byte-identical
-to the serial/offline truth.  The in-process tests bind real ephemeral-port
-``ThreadingHTTPServer`` instances; the ``repro-infer`` parity test spawns a
-real ``repro-serve`` process and compares CLI stdout bytes.
+Differential tests: per-request model routing and a mid-run
+zero-downtime swap must answer byte-identical to the offline truth.  The
+in-process tests bind real ephemeral-port ``ThreadingHTTPServer``
+instances; the ``repro-infer`` parity test spawns a real ``repro-serve``
+process and compares CLI stdout bytes.
 """
 
 from __future__ import annotations
@@ -35,10 +34,8 @@ from repro.datagen.corpus import generate_corpus
 from repro.datagen.downstream import SPEC_BY_NAME, make_dataset
 from repro.downstream.harness import evaluate_assignment
 from repro.downstream.suite import model_assignments, served_assignments
-from repro.faults import FaultPlan, faults
 from repro.obs import telemetry
 from repro.serve import (
-    FleetClient,
     InferenceService,
     ModelRegistry,
     ServeClient,
@@ -52,7 +49,7 @@ CSV_TEXT = "id,salary,state\n" + "\n".join(
     for i in range(40)
 )
 
-#: Small per-request tables for the soak/scale-out load mix.
+#: Small per-request tables for the soak load mix.
 SOAK_CSVS = [
     "a,b\n" + "\n".join(f"{i},{i * 3 + k}" for i in range(8))
     for k in range(4)
@@ -117,44 +114,6 @@ def running_server(registry, **service_knobs):
         service.drain(timeout=5)
         server.server_close()
         thread.join(timeout=5)
-
-
-class _FleetBackend:
-    """One in-process serve node of a fleet (own service + HTTP server)."""
-
-    def __init__(self, registry, **service_knobs):
-        self.service = InferenceService(registry, **service_knobs)
-        self.server = make_server("127.0.0.1", 0, self.service)
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
-        )
-        self.thread.start()
-        self.service.start()
-        self.url = f"http://127.0.0.1:{self.server.server_port}"
-        self.stopped = False
-
-    def stop(self, timeout: float = 5.0) -> None:
-        if self.stopped:
-            return
-        self.stopped = True
-        self.server.shutdown()
-        self.service.drain(timeout=timeout)
-        self.server.server_close()
-        self.thread.join(timeout=timeout)
-
-
-@contextmanager
-def running_fleet(model, n_backends, **service_knobs):
-    """N serve nodes over the same (shared-artifact) model."""
-    backends = [
-        _FleetBackend(ModelRegistry.preloaded(model), **service_knobs)
-        for _ in range(n_backends)
-    ]
-    try:
-        yield backends
-    finally:
-        for backend in backends:
-            backend.stop()
 
 
 class TestRouting:
@@ -431,11 +390,11 @@ class TestHotSwap:
         gate = threading.Event()
         original = entry._load_payload
 
-        def gated_load(model_path, cache, train):
+        def gated_load(model_path, train):
             # Hold the first swap in its loading state so the second one
             # deterministically collides with it.
             gate.wait(timeout=30)
-            return original(model_path, cache, train)
+            return original(model_path, train)
 
         entry._load_payload = gated_load
         handle = registry.swap(
@@ -463,115 +422,12 @@ class TestHotSwap:
         assert entry.fingerprint == fp_before
         assert entry.generation == 0
         assert entry.current() is not None
+        with pytest.raises(ValueError):
+            registry.swap("main")  # neither an artifact nor a model
+        assert entry.generation == 0
 
 
-class TestScaleOut:
-    @pytest.mark.parametrize("n_backends", [2, 4])
-    def test_balancer_parity_vs_single_process(
-        self, fleet_models, n_backends
-    ):
-        """Same per-column predictions through N backends as through one,
-        with X-Trace-Id stitching intact on every response."""
-        rf = fleet_models["rf"]
-        expected = {}
-        with running_server(
-            ModelRegistry.preloaded(rf), max_wait_s=0.0
-        ) as (client, _):
-            for k, csv in enumerate(SOAK_CSVS):
-                expected[k] = client.infer_csv_text(csv, table=f"t{k}")
-        with running_fleet(rf, n_backends, max_wait_s=0.0) as backends:
-            fleet = FleetClient([b.url for b in backends])
-            try:
-                trace_ids = set()
-                for _round in range(3):
-                    for k, csv in enumerate(SOAK_CSVS):
-                        response = fleet.infer_csv_text(csv, table=f"t{k}")
-                        assert json.dumps(response["predictions"]) == \
-                            json.dumps(expected[k]["predictions"]), (
-                                f"{n_backends}-backend fleet diverges on t{k}"
-                            )
-                        assert response["trace_id"]
-                        trace_ids.add(response["trace_id"])
-                # Every request minted its own stitched trace.
-                assert len(trace_ids) == 3 * len(SOAK_CSVS)
-                health = fleet.healthz()
-                assert len(health) == n_backends
-                for node in health.values():
-                    assert node["models"]["rf"]["state"] == "ready"
-            finally:
-                fleet.close()
-
-    def test_backend_killed_mid_load_chaos(self, fleet_models):
-        """Seeded fault plan + a backend killed mid-run: the balancer
-        retries/rebalances and every answer is still correct."""
-        rf = fleet_models["rf"]
-        with running_server(
-            ModelRegistry.preloaded(rf), max_wait_s=0.0
-        ) as (client, _):
-            expected = [
-                client.infer_csv_text(csv, table=f"t{k}")["predictions"]
-                for k, csv in enumerate(SOAK_CSVS)
-            ]
-        # Deterministic client-side transport chaos on top of the kill.
-        faults.install(FaultPlan.from_dict({
-            "seed": 20260808,
-            "rules": [{
-                "point": "client.request", "mode": "error",
-                "probability": 0.05, "max_fires": 4,
-            }],
-        }))
-        try:
-            with running_fleet(rf, 2, max_wait_s=0.0) as backends:
-                fleet = FleetClient(
-                    [b.url for b in backends],
-                    timeout_s=10.0, cooldown_s=0.2,
-                )
-                try:
-                    results: list[tuple[int, list]] = []
-                    errors: list[BaseException] = []
-                    lock = threading.Lock()
-
-                    def worker(index):
-                        for i in range(12):
-                            k = (index + i) % len(SOAK_CSVS)
-                            try:
-                                response = fleet.infer_csv_text(
-                                    SOAK_CSVS[k], table=f"t{k}"
-                                )
-                            except BaseException as exc:
-                                with lock:
-                                    errors.append(exc)
-                                return
-                            with lock:
-                                results.append(
-                                    (k, response["predictions"])
-                                )
-
-                    threads = [
-                        threading.Thread(
-                            target=worker, args=(k,), daemon=True
-                        )
-                        for k in range(3)
-                    ]
-                    for thread in threads:
-                        thread.start()
-                    time.sleep(0.05)
-                    backends[1].stop(timeout=5)  # killed mid-load
-                    for thread in threads:
-                        thread.join(timeout=60)
-                    assert not errors, f"requests lost: {errors[:3]}"
-                    assert len(results) == 3 * 12
-                    for k, predictions in results:
-                        assert json.dumps(predictions) == json.dumps(
-                            expected[k]
-                        ), "a rebalanced request returned a wrong answer"
-                finally:
-                    fleet.close()
-        finally:
-            faults.clear()
-
-
-class TestKeepAliveAndPipelining:
+class TestKeepAlive:
     def test_keep_alive_reuses_one_connection(self, fleet_models):
         registry = ModelRegistry.preloaded(fleet_models["rf"])
         with running_server(registry, max_wait_s=0.0) as (client, _):
