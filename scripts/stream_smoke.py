@@ -5,20 +5,23 @@ fit the memory ceiling.
 The script generates a CSV (row by row, so its own memory stays flat),
 then runs ``repro-infer --stream`` on it inside a child process that
 asserts its *own* peak RSS (``resource.getrusage(RUSAGE_SELF).ru_maxrss``)
-stayed under ``--ceiling-mb``.  A buffered (in-memory) reference run over
-the same file checks that the streamed predictions are byte-identical and
-that streaming costs at most ``--max-slowdown``× the buffered wall time;
-with ``--buffered-ceiling-mb`` that child asserts a peak-RSS ceiling too,
-so a transient that grows with the file's characters fails the run.
+stayed under ``--ceiling-mb``.  A reference run of ``repro-infer``
+without ``--stream`` (the exact streaming pass, which keeps every
+distinct value; the "buffered" run of the flags and the report) over the
+same file checks that the capped predictions are byte-identical and that
+``--stream`` costs at most ``--max-slowdown``× its wall time; with
+``--buffered-ceiling-mb`` that child asserts a peak-RSS ceiling too, so a
+run that materializes the table or holds a transient that grows with the
+file fails.
 
 Every generated column keeps its distinct-value count under the sketch's
-distinct cap, so the streamed statistics are exactly the batch kernel's
-and the prediction comparison is strict.
+distinct cap, so the capped statistics are exactly the exact run's and
+the prediction comparison is strict.
 
 CI runs this at ~1M rows (``--rows 1000000 --ceiling-mb 512
---buffered-ceiling-mb 1024``; ``.github/workflows/ci.yml`` explains the
-buffered value).  PR 8's evidence run (recorded in CHANGES.md) used a
-larger file, >= 10x the 320 MB ceiling::
+--buffered-ceiling-mb 120``; ``.github/workflows/ci.yml`` explains the
+reference value).  The streaming profiler's evidence run (recorded in
+CHANGES.md) used a larger file, >= 10x the 320 MB ceiling::
 
     python scripts/stream_smoke.py --rows 15000000 --ceiling-mb 320 \
         --out REPORT.json
@@ -133,18 +136,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--buffered-ceiling-mb", type=int, default=0,
-        help="peak-RSS ceiling enforced on the buffered reference run "
-             "(default 0: recorded, not enforced)",
+        help="peak-RSS ceiling enforced on the reference run without "
+             "--stream (default 0: recorded, not enforced)",
     )
     parser.add_argument(
         "--max-slowdown", type=float, default=1.5,
         help="streamed wall time must stay within this factor of the "
-             "buffered run (default 1.5)",
+             "reference run (default 1.5)",
     )
     parser.add_argument(
         "--skip-buffered", action="store_true",
-        help="skip the in-memory reference run (no parity/throughput "
-             "checks; for files the host cannot buffer)",
+        help="skip the reference run without --stream (no "
+             "parity/throughput checks; for files whose distinct values "
+             "the host cannot hold)",
     )
     parser.add_argument(
         "--out", default=None, metavar="FILE",
@@ -208,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.skip_buffered:
         print(
-            "=== buffered (in-memory) reference run (ceiling "
+            "=== exact (no --stream) reference run (ceiling "
             f"{args.buffered_ceiling_mb or 'none'} MB) ===",
             flush=True,
         )
@@ -218,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if streamed.stdout != buffered.stdout:
             raise SystemExit(
-                "FAIL: streamed predictions differ from the buffered path"
+                "FAIL: --stream predictions differ from the exact run"
             )
         ratio = stream_s / buffer_s
         report["stream_smoke"]["buffered"] = {
@@ -234,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if ratio > args.max_slowdown:
             raise SystemExit(
-                f"FAIL: streaming is {ratio:.2f}x the buffered path "
+                f"FAIL: --stream is {ratio:.2f}x the exact run "
                 f"(budget {args.max_slowdown}x)"
             )
 

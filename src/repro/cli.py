@@ -6,19 +6,23 @@ Usage:
     repro-infer data.csv --save rf.model    # persist the trained model
     repro-infer data.csv --json             # machine-readable output
     repro-infer data.csv --server URL       # delegate to a repro-serve node
-    repro-infer big.csv --stream            # bounded-memory streaming profile
+    repro-infer big.csv --stream            # cap distinct values per column
 
 The first run trains the benchmark's Random Forest on a synthetic labeled
 corpus (~a minute); save the artifact once and reuse it for instant startup —
 or point ``--server`` at a running ``repro-serve`` instance, which keeps the
 model resident and batches concurrent invocations (see docs/serving.md).
 
-``--stream`` profiles the CSV through :mod:`repro.sketch` instead of
-materializing it, so memory stays bounded by the chunk size and the
-distinct-value cap regardless of file size (see docs/performance.md for the
-memory model and the stats-parity contract).  With ``--server`` the file
-is always uploaded from disk as-is, and the server profiles it the same
-way either way.
+Every run profiles the CSV in one streaming pass through :mod:`repro.sketch`
+without materializing it.  The default pass is exact: it keeps every
+distinct value, so its statistics and predictions equal the batch kernel's
+on the whole table, and its memory grows with the distinct values rather
+than the file.  ``--stream`` caps the distinct values tracked per column
+(``--distinct-cap``), so memory stays bounded by the chunk size and the cap
+regardless of file size; a column past the cap reports the cap as its
+distinct count (see docs/performance.md for the memory model and the
+stats-parity contract).  With ``--server`` the file is always uploaded from
+disk as-is, and the server profiles it the way ``--stream`` does.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from repro.core.models import (
     DEFAULT_TREES,
     RandomForestModel,
     train_default_forest,
+    train_examples,
 )
 from repro.core.persistence import load_model, model_fingerprint, save_model
 from repro.core.pipeline import TypeInferencePipeline
@@ -46,7 +51,15 @@ from repro.obs import (
 )
 from repro.obs.export import write_json, write_spans_jsonl
 from repro.core.featurize import ProfileError
-from repro.tabular.csv_io import CSVReadError, load_csv_table
+from repro.sketch import (
+    DEFAULT_CHUNK_ROWS,
+    DEFAULT_DISTINCT_CAP,
+    SketchConfig,
+    profile_csv_stream,
+)
+from repro.tabular.csv_io import DEFAULT_SNIFF_CHARS, CSVReadError
+# Unused here; perfbench's traced pass wraps repro.cli.load_csv_table.
+from repro.tabular.csv_io import load_csv_table  # noqa: F401
 
 
 def _obtain_model(args, manifest: RunManifest) -> RandomForestModel:
@@ -147,14 +160,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trees", type=int, default=DEFAULT_TREES)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
-        "--train-examples", type=int, default=DEFAULT_TRAIN_EXAMPLES
+        "--train-examples", type=train_examples, default=DEFAULT_TRAIN_EXAMPLES
     )
     streaming = parser.add_argument_group("streaming")
     streaming.add_argument(
         "--stream", action="store_true",
-        help="profile the CSV in one bounded-memory pass (repro.sketch) "
-             "instead of materializing it (--server always uploads the file "
-             "as-is and the server always streams it)",
+        help="cap the distinct values tracked per column, so memory stays "
+             "bounded whatever the file's size (the default pass keeps "
+             "every distinct value and is exact; --server always uploads "
+             "the file as-is and the server always caps)",
     )
     streaming.add_argument(
         "--chunk-rows", type=int, default=None, metavar="N",
@@ -202,28 +216,32 @@ def main(argv: list[str] | None = None) -> int:
         scale=args.train_examples,
     )
 
-    # --stream profiles the file in one bounded pass; the default path
-    # materializes the table.  Either way the model trains/loads *after*
-    # ingestion, so an unreadable file never costs a model fit.
-    profiles = None
-    table = None
+    # Both paths profile the file in one streaming pass.  The default one
+    # keeps every distinct value and sniffs the delimiter from the first 20
+    # lines however long they are, so its profiles are exactly the batch
+    # kernel's; --stream caps the distinct values and the sniff prefix.
+    # Either way the model trains/loads *after* ingestion, so an unreadable
+    # file never costs a model fit.
+    if args.stream:
+        config = SketchConfig(
+            distinct_cap=args.distinct_cap
+            if args.distinct_cap is not None
+            else DEFAULT_DISTINCT_CAP
+        )
+        sniff_chars = DEFAULT_SNIFF_CHARS
+    else:
+        config = SketchConfig(distinct_cap=sys.maxsize)
+        sniff_chars = sys.maxsize
     try:
-        if args.stream:
-            from repro.sketch import profile_csv_stream
-            from repro.sketch.column import SketchConfig
-
-            config = SketchConfig(
-                distinct_cap=args.distinct_cap
-                if args.distinct_cap is not None
-                else SketchConfig().distinct_cap
+        with telemetry.span("infer.stream_profile", path=args.csv):
+            profiles = profile_csv_stream(
+                args.csv,
+                config=config,
+                chunk_rows=args.chunk_rows
+                if args.chunk_rows is not None
+                else DEFAULT_CHUNK_ROWS,
+                sniff_chars=sniff_chars,
             )
-            kwargs = {"config": config}
-            if args.chunk_rows is not None:
-                kwargs["chunk_rows"] = args.chunk_rows
-            with telemetry.span("infer.stream_profile", path=args.csv):
-                profiles = profile_csv_stream(args.csv, **kwargs)
-        else:
-            table = load_csv_table(args.csv)
     except (CSVReadError, ProfileError) as exc:
         print(f"repro-infer: {exc}", file=sys.stderr)
         return 2
@@ -232,15 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.save:
         save_model(model, args.save)
 
-    pipeline = TypeInferencePipeline(model)
-    try:
-        if profiles is not None:
-            predictions = pipeline.predict_profiles(profiles)
-        else:
-            predictions = pipeline.predict_table(table)
-    except ProfileError as exc:
-        print(f"repro-infer: {exc}", file=sys.stderr)
-        return 2
+    predictions = TypeInferencePipeline(model).predict_profiles(profiles)
 
     if observing:
         if args.metrics_out:

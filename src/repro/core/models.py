@@ -11,6 +11,8 @@ the k-NN uses the paper's weighted name/stats distance.
 
 from __future__ import annotations
 
+import argparse
+
 import numpy as np
 
 from repro.core.feature_sets import FeatureSetBuilder
@@ -258,6 +260,22 @@ class CNNModel(TypeInferenceModel):
 DEFAULT_TRAIN_EXAMPLES = 1500
 DEFAULT_TREES = 50
 DEFAULT_SEED = 0
+#: The smallest corpus ``generate_corpus`` builds: fewer examples cannot
+#: cover the nine classes.
+MIN_TRAIN_EXAMPLES = 50
+
+
+def train_examples(text: str) -> int:
+    """``argparse`` type of ``--train-examples``: an int of at least
+    :data:`MIN_TRAIN_EXAMPLES`, so a too-small corpus fails when the
+    arguments are parsed rather than when the model trains."""
+    value = int(text)
+    if value < MIN_TRAIN_EXAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"must be at least {MIN_TRAIN_EXAMPLES} to cover the nine "
+            f"classes, got {value}"
+        )
+    return value
 
 
 def train_default_forest(

@@ -24,6 +24,7 @@ from repro.core.models import (
     DEFAULT_SEED,
     DEFAULT_TRAIN_EXAMPLES,
     DEFAULT_TREES,
+    train_examples,
 )
 from repro.faults import add_fault_flags, configure_faults
 from repro.obs import (
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--trees", type=int, default=DEFAULT_TREES)
     model.add_argument("--seed", type=int, default=DEFAULT_SEED)
     model.add_argument(
-        "--train-examples", type=int, default=DEFAULT_TRAIN_EXAMPLES
+        "--train-examples", type=train_examples, default=DEFAULT_TRAIN_EXAMPLES
     )
     model.add_argument(
         "--wait-ready", action="store_true",

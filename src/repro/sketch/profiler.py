@@ -7,8 +7,8 @@ materialized :class:`~repro.tabular.table.Table` — under a memory
 footprint bounded by the chunk size, the distinct cap, and the scan-cache
 cap, independent of the number of rows.
 
-:func:`profile_csv_stream` is the one-call convenience wrapper used by
-``repro-infer --stream``.
+:func:`profile_csv_stream` is the one-call convenience wrapper behind
+``repro-infer``, exact by default and capped with ``--stream``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,11 @@ from repro.core.featurize import _KERNEL_ERRORS, ColumnProfile, ProfileError
 from repro.core.stats import StatsScanCache, tally_columns
 from repro.obs import telemetry
 from repro.sketch.column import ColumnSketch, SketchConfig
-from repro.tabular.csv_io import CSVChunk, iter_csv_chunks
+from repro.tabular.csv_io import (
+    DEFAULT_SNIFF_CHARS,
+    CSVChunk,
+    iter_csv_chunks,
+)
 
 #: Rows gathered per CSV chunk, and present cells per tally group of
 #: :meth:`StreamingProfiler.consume`: large enough to amortize the
@@ -207,12 +211,18 @@ def profile_csv_stream(
     io_chunk_bytes: int | None = None,
     delimiter: str | None = None,
     scan_cache_max_values: int = DEFAULT_SCAN_CACHE_MAX_VALUES,
+    sniff_chars: int = DEFAULT_SNIFF_CHARS,
 ) -> list[ColumnProfile]:
     """Profile a CSV source (path, binary file, or bytes iterable) in one
-    bounded-memory pass.  Raises
-    :class:`~repro.tabular.csv_io.CSVReadError` on unreadable input and
-    :class:`~repro.core.featurize.ProfileError` on unfeaturizable content,
-    mirroring ``load_csv_table`` + ``profile_table``.
+    pass.  Raises :class:`~repro.tabular.csv_io.CSVReadError` on unreadable
+    input and :class:`~repro.core.featurize.ProfileError` on unfeaturizable
+    content.
+
+    Memory is bounded by the chunk size, the sniff prefix, the scan-cache
+    cap and ``config.distinct_cap`` distinct values per column.  With an unbounded
+    cap and ``sniff_chars`` (``repro-infer``'s default path) the profiles
+    equal ``profile_table(load_csv_table(path))`` bit for bit; a column
+    past a finite cap reports the cap as its ``num_distinct``.
     """
     if not name and isinstance(source, (str, os.PathLike)):
         name = os.path.splitext(os.path.basename(os.fspath(source)))[0]
@@ -221,7 +231,12 @@ def profile_csv_stream(
         config=config,
         scan_cache_max_values=scan_cache_max_values,
     )
-    kwargs = {"chunk_rows": chunk_rows, "delimiter": delimiter, "name": name}
+    kwargs = {
+        "chunk_rows": chunk_rows,
+        "delimiter": delimiter,
+        "name": name,
+        "sniff_chars": sniff_chars,
+    }
     if io_chunk_bytes is not None:
         kwargs["io_chunk_bytes"] = io_chunk_bytes
     for chunk in iter_csv_chunks(source, **kwargs):

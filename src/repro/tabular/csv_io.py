@@ -411,13 +411,15 @@ def _byte_pieces(source, io_chunk_bytes: int, display: str) -> Iterator[bytes]:
 
     Every read passes the ``csv.read_chunk`` fault-injection point; I/O
     and injected failures both surface as :class:`CSVReadError`, matching
-    :func:`load_csv_table`'s contract for whole-file reads.
+    :func:`load_csv_table`'s contract for whole-file reads.  A path source
+    is named by its path, in the fault context and the error, as
+    :func:`load_csv_table` names it.
     """
     handle = None
     close_handle = False
     try:
         if isinstance(source, (str, os.PathLike)):
-            path = os.fspath(source)
+            path = display = os.fspath(source)
             try:
                 faults.point("csv.read", path=path)
                 handle = open(path, "rb")

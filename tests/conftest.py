@@ -26,6 +26,20 @@ def small_context() -> BenchmarkContext:
     return BenchmarkContext(n_examples=500, seed=7, rf_estimators=15, cnn_epochs=4)
 
 
+@pytest.fixture(scope="session")
+def saved_model(tmp_path_factory):
+    """Path of a small saved Random Forest artifact for the CLI tests."""
+    from repro.core.models import RandomForestModel
+    from repro.core.persistence import save_model
+
+    corpus = generate_corpus(n_examples=200, seed=2)
+    model = RandomForestModel(n_estimators=8, random_state=0)
+    model.fit(corpus.dataset)
+    path = tmp_path_factory.mktemp("models") / "rf.model"
+    save_model(model, path)
+    return path
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main as infer_main
-from repro.core.persistence import save_model
 from repro.tabular.column import Column
 from repro.tabular.csv_io import write_csv
 from repro.tabular.table import Table
@@ -23,19 +22,6 @@ def sample_csv(tmp_path):
     )
     path = tmp_path / "sample.csv"
     write_csv(table, path)
-    return path
-
-
-@pytest.fixture(scope="module")
-def saved_model(tmp_path_factory):
-    from repro.core.models import RandomForestModel
-    from repro.datagen.corpus import generate_corpus
-
-    corpus = generate_corpus(n_examples=200, seed=2)
-    model = RandomForestModel(n_estimators=8, random_state=0)
-    model.fit(corpus.dataset)
-    path = tmp_path_factory.mktemp("models") / "rf.model"
-    save_model(model, path)
     return path
 
 
@@ -86,6 +72,27 @@ class TestInferCli:
         code = infer_main([str(binary), "--model", str(saved_model)])
         assert code == 2
         assert "not valid utf-16-le" in capsys.readouterr().err
+
+    def test_too_few_train_examples_exits_2(self, sample_csv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            infer_main([str(sample_csv), "--train-examples", "20",
+                        "--trees", "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            "repro-infer: error: argument --train-examples: must be at "
+            "least 50 to cover the nine classes, got 20"
+        )
+
+    def test_train_examples_floor_is_the_corpus_floor(self):
+        from repro.core.models import MIN_TRAIN_EXAMPLES
+        from repro.datagen.corpus import generate_corpus
+
+        with pytest.raises(ValueError, match="at least 50 examples"):
+            generate_corpus(n_examples=MIN_TRAIN_EXAMPLES - 1)
+        assert len(generate_corpus(n_examples=MIN_TRAIN_EXAMPLES).dataset) \
+            == MIN_TRAIN_EXAMPLES
 
 
 class TestFigureData:

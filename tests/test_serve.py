@@ -919,6 +919,26 @@ class TestStartupTraining:
         assert "--default-model 'main'" in result.stderr
         assert "listening" not in result.stdout
 
+    def test_too_few_train_examples_exits_2(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.serve", "--port", "0",
+                "--train-examples", "20", "--trees", "1",
+            ],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines()[-1] == (
+            "repro-serve: error: argument --train-examples: must be at "
+            "least 50 to cover the nine classes, got 20"
+        )
+        assert "listening" not in result.stdout
+
 
 class TestCachePrune:
     """Housekeeping for long-lived servers: LRU eviction of the artifact dir."""
