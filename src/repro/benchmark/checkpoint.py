@@ -89,16 +89,17 @@ class RunCheckpoint:
         """Durably mark one experiment complete (atomic write).
 
         ``rec`` is a run's result record; the stored subset is what
-        resume needs to replay the run: the rendered output plus timing
-        provenance.  When ``fence`` is given it is consulted immediately
-        before the write; a False verdict (the writer's lease was stolen)
-        skips the write, counts ``checkpoint.stale_attempt``, and returns
-        False.
+        resume needs to replay the run: the rendered output, the paper
+        shapes it breaks, and timing provenance.  When ``fence`` is given
+        it is consulted immediately before the write; a False verdict (the
+        writer's lease was stolen) skips the write, counts
+        ``checkpoint.stale_attempt``, and returns False.
         """
         stored = {
             "schema": SCHEMA,
             "name": rec["name"],
             "output": rec["output"],
+            "shape_failures": rec.get("shape_failures", []),
             "wall_s": rec.get("wall_s"),
             "cpu_s": rec.get("cpu_s"),
             "pid": rec.get("pid"),

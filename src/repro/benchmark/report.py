@@ -12,6 +12,7 @@ import sys
 
 from repro.benchmark.context import BenchmarkContext
 from repro.benchmark.runner import EXPERIMENTS, run_experiment
+from repro.core.models import train_examples
 from repro.obs import (
     RunManifest,
     Tracer,
@@ -49,7 +50,7 @@ def build_report(
     timer = Tracer()
     for name in experiments:
         with timer.span(f"experiment.{name}") as sp:
-            body = run_experiment(name, context)
+            body, _shape_failures = run_experiment(name, context)
         elapsed = sp.wall_s
         if manifest is not None:
             manifest.add_experiment(name, wall_s=sp.wall_s, cpu_s=sp.cpu_s)
@@ -67,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="repro-report", description="Write a markdown benchmark report."
     )
     parser.add_argument("--out", default="REPORT.md")
-    parser.add_argument("--scale", type=int, default=1200)
+    parser.add_argument("--scale", type=train_examples, default=1200)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--experiments", nargs="*", default=list(DEFAULT_EXPERIMENTS),

@@ -97,3 +97,16 @@ def render_table16(result: RobustnessResult) -> str:
             "unchanged prediction =="
         ),
     )
+
+
+def check(result: RobustnessResult) -> list[str]:
+    """Figure 9's shape: logreg and rf keep their prediction in at least
+    90% of the runs for the median column."""
+    failures = []
+    for model in ("logreg", "rf"):
+        median = float(np.median(result.stability[model]))
+        if not median >= 90.0:
+            failures.append(
+                f"{model} median stability {median:.1f}% is below 90%"
+            )
+    return failures

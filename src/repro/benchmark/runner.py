@@ -1,7 +1,10 @@
 """Experiment registry and CLI: ``repro-bench <experiment> [--scale N]``.
 
 Each experiment regenerates one of the paper's tables or figures and prints
-the same rows/series.  ``repro-bench all`` runs everything.
+the same rows/series.  ``repro-bench all`` runs everything.  At ``--scale``
+1200 or above (``SHAPE_CHECK_SCALE``) each experiment also checks its result
+against the paper's shape with the ``check`` in its module; a broken shape
+is listed on stderr and the run exits 1, while stdout keeps the tables.
 
 Observability: ``--log-level``, ``--metrics-out PATH``, and
 ``--manifest PATH`` enable the :mod:`repro.obs` telemetry layer, so
@@ -21,6 +24,7 @@ from typing import Callable
 from repro.benchmark.checkpoint import RunCheckpoint
 from repro.benchmark.context import BenchmarkContext
 from repro.cache import ArtifactCache
+from repro.core.models import train_examples
 from repro.faults import add_fault_flags, configure_faults
 from repro.obs import (
     TRACEPARENT_ENV,
@@ -34,131 +38,175 @@ from repro.obs import (
 from repro.obs.export import write_json, write_spans_jsonl
 
 
-def _table1(context: BenchmarkContext) -> str:
-    from repro.benchmark.table1 import render_table1, run_table1
+#: What an experiment returns: its rendered output, and the paper shapes
+#: that output breaks (see ``BenchmarkContext.shape_failures``).
+Outcome = tuple[str, list[str]]
 
-    return render_table1(run_table1(context))
+
+def _table1(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.table1 import check, render_table1, run_table1
+
+    result = run_table1(context)
+    return render_table1(result), context.shape_failures(check, result)
 
 
-def _table2(context: BenchmarkContext) -> str:
-    from repro.benchmark.table2 import render_table2, run_table2
+def _table2(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.table2 import check, render_table2, run_table2
 
     result = run_table2(context)
-    return "\n".join(
+    text = "\n".join(
         render_table2(result, split) for split in ("train", "validation", "test")
     )
+    return text, context.shape_failures(check, result)
 
 
-def _table3(context: BenchmarkContext) -> str:
+def _table3(context: BenchmarkContext) -> Outcome:
     from repro.benchmark.table3 import (
+        check,
         render_datatype_confusion,
         render_table3,
         run_datatype_confusion,
         run_table3,
     )
 
+    result = run_table3(context, max_examples=20)
     parts = [
-        render_table3(run_table3(context, max_examples=20)),
+        render_table3(result),
         render_datatype_confusion(run_datatype_confusion(context)),
     ]
-    return "\n".join(parts)
+    return "\n".join(parts), context.shape_failures(check, result)
 
 
-def _downstream(context: BenchmarkContext) -> str:
+def _downstream(context: BenchmarkContext) -> Outcome:
     from repro.benchmark.downstream_exp import (
+        check,
         render_downstream,
         run_downstream_experiment,
     )
 
-    return render_downstream(run_downstream_experiment(context))
+    result = run_downstream_experiment(context)
+    return render_downstream(result), context.shape_failures(check, result)
 
 
-def _table7(context: BenchmarkContext) -> str:
-    from repro.benchmark.table7 import render_table7, run_table7
+def _table7(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.table7 import check, render_table7, run_table7
 
-    return render_table7(run_table7(context))
-
-
-def _table11(context: BenchmarkContext) -> str:
-    from repro.benchmark.table11 import render_table11, run_table11
-
-    return render_table11(run_table11(context))
+    result = run_table7(context)
+    return render_table7(result), context.shape_failures(check, result)
 
 
-def _table12(context: BenchmarkContext) -> str:
-    from repro.benchmark.table12 import render_table12, run_table12
+def _table11(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.table11 import check, render_table11, run_table11
 
-    return render_table12(run_table12(context))
-
-
-def _table15(context: BenchmarkContext) -> str:
-    from repro.benchmark.table15 import render_table15, run_table15
-
-    return render_table15(run_table15(context))
+    rows = run_table11(context)
+    return render_table11(rows), context.shape_failures(check, rows)
 
 
-def _table14(context: BenchmarkContext) -> str:
-    from repro.benchmark.table14 import render_table14, run_table14
+def _table12(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.table12 import check, render_table12, run_table12
 
-    return render_table14(run_table14(context))
-
-
-def _figure9(context: BenchmarkContext) -> str:
-    from repro.benchmark.robustness import render_table16, run_robustness
-
-    return render_table16(run_robustness(context, n_runs=25, max_columns=100))
+    rows = run_table12(context)
+    return render_table12(rows), context.shape_failures(check, rows)
 
 
-def _table17(context: BenchmarkContext) -> str:
-    from repro.benchmark.table17 import render_table17, run_table17
+def _table15(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.table15 import check, render_table15, run_table15
 
-    return render_table17(run_table17(context))
-
-
-def _table18(context: BenchmarkContext) -> str:
-    from repro.benchmark.datastats import render_table18, run_datastats
-
-    return render_table18(run_datastats(context))
+    rows = run_table15(context)
+    return render_table15(rows), context.shape_failures(check, rows)
 
 
-def _figure7(context: BenchmarkContext) -> str:
-    from repro.benchmark.runtime import render_figure7, run_runtimes
+def _table14(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.table14 import check, render_table14, run_table14
 
-    return render_figure7(run_runtimes(context))
+    rows = run_table14(context)
+    return render_table14(rows), context.shape_failures(check, rows)
 
 
-def _labeling(context: BenchmarkContext) -> str:
+def _figure9(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.robustness import check, render_table16, run_robustness
+
+    result = run_robustness(context, n_runs=25, max_columns=100)
+    return render_table16(result), context.shape_failures(check, result)
+
+
+def _table17(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.table17 import check, render_table17, run_table17
+
+    result = run_table17(context)
+    return render_table17(result), context.shape_failures(check, result)
+
+
+def _table18(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.datastats import check, render_table18, run_datastats
+
+    result = run_datastats(context)
+    return render_table18(result), context.shape_failures(check, result)
+
+
+def _figure7(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.runtime import check, render_figure7, run_runtimes
+
+    breakdowns = run_runtimes(context)
+    return render_figure7(breakdowns), context.shape_failures(check, breakdowns)
+
+
+def _labeling(context: BenchmarkContext) -> Outcome:
     from repro.benchmark.labeling import (
+        check,
+        render_labeling,
         run_crowdsourcing_simulation,
         run_labeling_bootstrap,
     )
 
-    bootstrap = run_labeling_bootstrap(context)
-    crowd = run_crowdsourcing_simulation(context)
-    return (
-        f"labeling bootstrap: seed={bootstrap.seed_size} "
-        f"5-fold CV accuracy={bootstrap.cv_accuracy:.3f}\n"
-        f"predicted-class group sizes: {bootstrap.group_sizes}\n"
-        f"crowdsourcing sim: worker acc={crowd.worker_accuracy:.2f} -> "
-        f"majority vote acc={crowd.majority_vote_accuracy:.3f}, "
-        f"{100 * crowd.pct_examples_with_3plus_labels:.0f}% of examples got "
-        "3+ distinct labels"
+    result = (
+        run_labeling_bootstrap(context), run_crowdsourcing_simulation(context)
+    )
+    return render_labeling(*result), context.shape_failures(check, result)
+
+
+def _weak(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.weak_exp import (
+        check,
+        render_weak_supervision,
+        run_weak_supervision,
     )
 
+    result = run_weak_supervision(context)
+    return render_weak_supervision(result), context.shape_failures(check, result)
 
-def _tuning(context: BenchmarkContext) -> str:
+
+def _active(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.active_exp import check, render_active, run_active
+
+    curves = run_active(context)
+    return render_active(curves), context.shape_failures(check, curves)
+
+
+def _importance(context: BenchmarkContext) -> Outcome:
+    from repro.benchmark.importance import (
+        check,
+        render_block_importance,
+        run_block_importance,
+    )
+
+    rows = run_block_importance(context)
+    return render_block_importance(rows), context.shape_failures(check, rows)
+
+
+def _tuning(context: BenchmarkContext) -> Outcome:
     from repro.benchmark.tuning_exp import render_tuning, run_tuning
 
-    return render_tuning(run_tuning(context))
+    return render_tuning(run_tuning(context)), []
 
 
-def _leaderboard(context: BenchmarkContext) -> str:
+def _leaderboard(context: BenchmarkContext) -> Outcome:
     from repro.benchmark.leaderboard import build_leaderboard
 
-    return build_leaderboard(context).to_json()
+    return build_leaderboard(context).to_json(), []
 
 
-EXPERIMENTS: dict[str, Callable[[BenchmarkContext], str]] = {
+EXPERIMENTS: dict[str, Callable[[BenchmarkContext], Outcome]] = {
     "table1": _table1,
     "table2": _table2,
     "table3": _table3,
@@ -175,10 +223,15 @@ EXPERIMENTS: dict[str, Callable[[BenchmarkContext], str]] = {
     "labeling": _labeling,
     "tuning": _tuning,  # nested-CV grid search (Section 4.1 protocol)
     "leaderboard": _leaderboard,
+    "weak": _weak,  # weak-supervision amplification (Section 6.2)
+    "active": _active,  # active labeling strategies (Sections 3.3, 6.2)
+    "importance": _importance,  # feature-block importance (Section 6.2)
 }
 
 
-def run_experiment(name: str, context: BenchmarkContext) -> str:
+def run_experiment(name: str, context: BenchmarkContext) -> Outcome:
+    """Run one experiment: its rendered output and the paper shapes it
+    breaks (none below ``SHAPE_CHECK_SCALE``)."""
     try:
         experiment = EXPERIMENTS[name]
     except KeyError:
@@ -271,7 +324,7 @@ def _goldens_main(argv: list[str]) -> int:
              f"{','.join(DEFAULT_MODELS)}; check whatever was recorded)",
     )
     parser.add_argument(
-        "--scale", type=int, default=300,
+        "--scale", type=train_examples, default=300,
         help="labeled-corpus size (default 300: the committed CI corpus)",
     )
     parser.add_argument("--seed", type=int, default=1)
@@ -339,7 +392,7 @@ def _add_queue_flags(parser: argparse.ArgumentParser) -> None:
              "workers must agree or they exit with status 2",
     )
     parser.add_argument(
-        "--scale", type=int, default=None,
+        "--scale", type=train_examples, default=None,
         help="labeled-corpus size (default 2400; must match across workers)",
     )
     parser.add_argument("--seed", type=int, default=0)
@@ -409,16 +462,19 @@ def _resolve_names(parser: argparse.ArgumentParser, text: str) -> list[str]:
 
 
 def _print_records(records, names: list[str],
-                   manifest: RunManifest) -> tuple[list[dict], list[dict]]:
+                   manifest: RunManifest) -> tuple[list[dict], bool]:
     """Print each record in order and add it to the manifest, then sum up
-    the failures on stderr.  Returns (completed records without their
-    output, failure records).
+    the failed experiments and the broken paper shapes on stderr.  Returns
+    (completed records without their output, whether every experiment
+    completed with its shapes intact).
 
-    A stored record reprints its stored output and wall time, so a resumed
-    run's stdout is byte-identical to an uninterrupted one.
+    A stored record reprints its stored output and wall time, and replays
+    its shape failures, so a resumed run's stdout and exit status are
+    those of an uninterrupted one.
     """
     done: list[dict] = []
     failures: list[dict] = []
+    broken: list[dict] = []
     for record in records:
         name = record["name"]
         if record.get("failed"):
@@ -435,16 +491,33 @@ def _print_records(records, names: list[str],
             continue
         print(f"\n######## {name} ({record['wall_s']:.1f}s) ########")
         print(record["output"])
+        shape_failures = record.get("shape_failures") or []
         manifest.add_experiment(
             name, wall_s=record["wall_s"], cpu_s=record.get("cpu_s"),
             pid=record.get("pid"), resumed=bool(record.get("resumed")),
+            shape_failures=shape_failures,
         )
         telemetry.info(
             "experiment.done", experiment=name, wall_s=record["wall_s"],
             resumed=bool(record.get("resumed")),
         )
+        if shape_failures:
+            broken.append(record)
+            telemetry.warning(
+                "experiment.shape_failed", experiment=name,
+                shapes=len(shape_failures),
+            )
         done.append({k: v for k, v in record.items() if k != "output"})
 
+    if broken:
+        print(
+            f"\n{len(broken)} of {len(names)} experiment(s) broke a paper "
+            "shape:",
+            file=sys.stderr,
+        )
+        for record in broken:
+            for failure in record["shape_failures"]:
+                print(f"  - {record['name']}: {failure}", file=sys.stderr)
     if failures:
         print(
             f"\n{len(failures)} of {len(names)} experiment(s) failed:",
@@ -464,7 +537,7 @@ def _print_records(records, names: list[str],
         manifest.extra["failures"] = [
             {k: v for k, v in f.items() if k != "traceback"} for f in failures
         ]
-    return done, failures
+    return done, not (failures or broken)
 
 
 def _write_exports(args, manifest: RunManifest) -> None:
@@ -655,7 +728,7 @@ def _merge_main(argv: list[str]) -> int:
         print(f"merge: ERROR: {exc}", file=sys.stderr)
         return 3
 
-    _, failures = _print_records(
+    _, ok = _print_records(
         q.merge_results(queue, context, names), names, manifest
     )
     report = q.queue_report(queue, context)
@@ -666,7 +739,7 @@ def _merge_main(argv: list[str]) -> int:
         _write_exports(args, manifest)
     if run_context is not None and inherited is None:
         set_process_context(None)
-    return 1 if failures else 0
+    return 0 if ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -694,7 +767,7 @@ def main(argv: list[str] | None = None) -> int:
              f"(available: {', '.join(EXPERIMENTS)})",
     )
     parser.add_argument(
-        "--scale", type=int, default=None,
+        "--scale", type=train_examples, default=None,
         help="labeled-corpus size (default 2400; paper scale is 9921)",
     )
     parser.add_argument("--seed", type=int, default=0)
@@ -811,7 +884,7 @@ def main(argv: list[str] | None = None) -> int:
             set_process_context(None)
         return 2
 
-    done, failures = _print_records(records, names, manifest)
+    done, ok = _print_records(records, names, manifest)
     if observing:
         if args.jobs > 1:
             manifest.extra["workers"] = done
@@ -820,7 +893,7 @@ def main(argv: list[str] | None = None) -> int:
         # This run minted the process context; clear it (and the exported
         # env var) so a later in-process invocation starts its own trace.
         set_process_context(None)
-    return 1 if failures else 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

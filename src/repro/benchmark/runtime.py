@@ -87,3 +87,12 @@ def render_figure7(breakdowns: list[RuntimeBreakdown]) -> str:
         rows,
         title="\n== Figure 7: online prediction runtime per column ==",
     )
+
+
+def check(breakdowns: list[RuntimeBreakdown]) -> list[str]:
+    """Figure 7's shape: every model predicts in under 0.2 s per column."""
+    return [
+        f"{b.model} takes {b.total:.3f} s per column, not under 0.2 s"
+        for b in breakdowns
+        if not b.total < 0.2
+    ]

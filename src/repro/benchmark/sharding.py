@@ -16,7 +16,8 @@ A :class:`Shardable` declares that decomposition:
   must be picklable (it is checkpointed, pickled, under the run dir, where
   the merge reads it back);
 * :meth:`~Shardable.merge` — fold the ``{shard_id: payload}`` mapping back
-  into the experiment's rendered output.  Merge MUST be a pure function of
+  into the experiment's rendered output and its shape failures (as
+  ``run_experiment`` returns them).  Merge MUST be a pure function of
   the payload *values* (never of completion order), so sharded output is
   byte-identical to a serial run at any ``--jobs``.
 
@@ -31,10 +32,9 @@ manifest, and ``--trace-out``.  A serial run's tasks record their spans in
 the parent's tracer directly.
 
 The experiment entry points (``run_table15``,
-``run_downstream_experiment``, ``run_tuning``), which ``run_experiment``
-and the paper-shape benches call, are themselves implemented as "run every
-shard in canonical order, then merge", so they and the queued shards share
-one code path and parity holds by construction —
+``run_downstream_experiment``, ``run_tuning``) are themselves implemented
+as "run every shard in canonical order, then merge", so they and the
+queued shards share one code path and parity holds by construction —
 ``tests/test_shard_parity.py`` locks this down differentially.
 
 Registration is lazy (module path + attribute) so importing this module
@@ -71,8 +71,9 @@ class Shardable(ABC):
     @abstractmethod
     def merge(
         self, context: "BenchmarkContext", shards: Mapping[str, object]
-    ) -> str:
-        """Deterministically fold shard payloads into the rendered output."""
+    ) -> tuple[str, list[str]]:
+        """Deterministically fold shard payloads into the rendered output
+        and the paper shapes it breaks."""
 
 
 #: experiment name → (module, attribute) of its Shardable class.  Lazy so

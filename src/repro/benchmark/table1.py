@@ -98,3 +98,16 @@ def render_table1(result: Table1Result) -> str:
         )
     )
     return "\n".join(blocks)
+
+
+def check(result: Table1Result) -> list[str]:
+    """Table 1's shape: the Random Forest beats every prior tool on 9-class
+    accuracy."""
+    rf = result.nine_class["rf"]
+    return [
+        f"rf 9-class accuracy {rf:.3f} does not beat {tool}'s "
+        f"{result.nine_class[tool]:.3f}"
+        for tool in ("tfdv", "pandas", "transmogrifai", "autogluon",
+                     "sherlock", "rules")
+        if not rf > result.nine_class[tool]
+    ]

@@ -148,3 +148,25 @@ def render_table11(rows: list[Table11Row]) -> str:
         body,
         title="\n== Table 11: vocabulary extension with Country / State ==",
     )
+
+
+def check(rows: list[Table11Row]) -> list[str]:
+    """Table 11's shape: with 100 extra labels a new class is found with
+    precision above 0.6, and doubling the labels keeps its recall (within
+    0.05)."""
+    by_key = {(r.extended_type.value, r.n_extra_train): r for r in rows}
+    failures = []
+    for name in ("Country", "State"):
+        small = by_key[(name, 100)]
+        large = by_key[(name, 200)]
+        if not small.precision > 0.6:
+            failures.append(
+                f"{name} precision with N=100 is {small.precision:.3f}, "
+                "not above 0.6"
+            )
+        if not large.recall >= small.recall - 0.05:
+            failures.append(
+                f"{name} recall falls from {small.recall:.3f} at N=100 to "
+                f"{large.recall:.3f} at N=200, more than 0.05"
+            )
+    return failures

@@ -107,3 +107,20 @@ def render_table12(rows: list[Table12Row]) -> str:
         body,
         title="\n== Table 12: ablation of type-specific stats features ==",
     )
+
+
+def check(rows: list[Table12Row]) -> list[str]:
+    """Table 12's shape: dropping one probe moves 9-class accuracy by less
+    than 0.1."""
+    by_key = {(r.model, r.ablation): r for r in rows}
+    failures = []
+    for model in ("logreg", "rf"):
+        full = by_key[(model, "full")].nine_class_accuracy
+        for ablation, _dropped in ABLATIONS[1:]:
+            ablated = by_key[(model, ablation)].nine_class_accuracy
+            if not abs(full - ablated) < 0.1:
+                failures.append(
+                    f"{model} {ablation} moves 9-class accuracy from "
+                    f"{full:.3f} to {ablated:.3f}, not less than 0.1"
+                )
+    return failures

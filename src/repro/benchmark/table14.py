@@ -122,3 +122,23 @@ def render_table14(rows: list[Table14Row]) -> str:
         body,
         title="\n== Table 14: Sherlock on top of OurRF's Categorical calls ==",
     )
+
+
+def check(rows: list[Table14Row]) -> list[str]:
+    """Table 14's shape: gating Sherlock behind OurRF's Categorical calls
+    keeps its recall (within 0.25), and OurRF calls at least half of the
+    columns Categorical."""
+    failures = []
+    for row in rows:
+        if not row.gated_recall >= row.standalone_recall - 0.25:
+            failures.append(
+                f"{row.semantic_type} gated recall {row.gated_recall:.3f} "
+                f"is more than 0.25 below standalone "
+                f"{row.standalone_recall:.3f}"
+            )
+        if not row.ourrf_categorical >= row.n_examples * 0.5:
+            failures.append(
+                f"OurRF calls {row.ourrf_categorical} of {row.n_examples} "
+                f"{row.semantic_type} columns Categorical, under half"
+            )
+    return failures

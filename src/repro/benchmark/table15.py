@@ -225,8 +225,11 @@ class Table15Shards(Shardable):
             context, shard_id, self.dataset_names, self.seed
         )
 
-    def merge(self, context: BenchmarkContext, shards: Mapping[str, object]) -> str:
-        return render_table15(merge_table15(shards, self.dataset_names))
+    def merge(
+        self, context: BenchmarkContext, shards: Mapping[str, object]
+    ) -> tuple[str, list[str]]:
+        rows = merge_table15(shards, self.dataset_names)
+        return render_table15(rows), context.shape_failures(check, rows)
 
 
 def render_table15(rows: list[Table15Row]) -> str:
@@ -247,3 +250,22 @@ def render_table15(rows: list[Table15Row]) -> str:
         body,
         title="\n== Table 15: double representation of integer columns ==",
     )
+
+
+def check(rows: list[Table15Row]) -> list[str]:
+    """Table 15's shape: NewRF, which doubles only when unsure, underperforms
+    truth on no more datasets than the doubled tools do."""
+    by_key = {(r.approach, r.model_kind): r for r in rows}
+    failures = []
+    for kind in ("linear", "forest"):
+        newrf = by_key[("newrf", kind)].underperform_truth
+        tools = max(
+            by_key[(f"{tool}:double", kind)].underperform_truth
+            for tool in TABLE15_TOOLS
+        )
+        if not newrf <= tools:
+            failures.append(
+                f"newrf underperforms truth on {newrf} datasets ({kind}), "
+                f"more than the worst doubled tool's {tools}"
+            )
+    return failures

@@ -61,3 +61,25 @@ def render_table17(result: Table17Result) -> str:
             )
         )
     return "\n".join(blocks)
+
+
+def check(result: Table17Result) -> list[str]:
+    """Table 17's shape: the Random Forest's matrix is more diagonal than
+    the rules', and the rules' more than Sherlock's, less 0.15."""
+    n = int(result.matrix("rf").sum())
+    diag = {
+        name: float(np.trace(result.matrix(name))) / n
+        for name in ("rules", "rf", "sherlock")
+    }
+    failures = []
+    if not diag["rf"] > diag["rules"]:
+        failures.append(
+            f"rf diagonal share {diag['rf']:.3f} is not above the rules' "
+            f"{diag['rules']:.3f}"
+        )
+    if not diag["rules"] > diag["sherlock"] - 0.15:
+        failures.append(
+            f"rules diagonal share {diag['rules']:.3f} is not above "
+            f"sherlock's {diag['sherlock']:.3f} - 0.15"
+        )
+    return failures

@@ -99,3 +99,20 @@ def render_table2(result: Table2Result, split: str = "test") -> str:
         rows,
         title=f"\n== 9-class {split} accuracy by feature set ==",
     )
+
+
+def check(result: Table2Result) -> list[str]:
+    """Table 2's shape: the Random Forest's best feature set scores above
+    0.85 and holds the stats or the name."""
+    label, best = result.best_feature_set("rf")
+    failures = []
+    if not best > 0.85:
+        failures.append(
+            f"rf's best feature set {label} scores {best:.3f} test "
+            "accuracy, not above 0.85"
+        )
+    if "X_stats" not in label and "X2_name" not in label:
+        failures.append(
+            f"rf's best feature set {label} holds neither X_stats nor X2_name"
+        )
+    return failures

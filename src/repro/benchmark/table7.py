@@ -84,3 +84,21 @@ def render_table7(result: Table7Result) -> str:
             "on [X_stats, X2_name] =="
         ),
     )
+
+
+def check(result: Table7Result) -> list[str]:
+    """Table 7's shape: on unseen files the Random Forest stays the best
+    model and above 0.8 test accuracy."""
+    rf = result.accuracy["rf"]["test"]
+    logreg = result.accuracy["logreg"]["test"]
+    failures = []
+    if not rf > logreg - 0.02:
+        failures.append(
+            f"rf leave-datafile-out test accuracy {rf:.3f} is not above "
+            f"logreg's {logreg:.3f} - 0.02"
+        )
+    if not rf > 0.8:
+        failures.append(
+            f"rf leave-datafile-out test accuracy {rf:.3f} is not above 0.8"
+        )
+    return failures

@@ -122,5 +122,7 @@ class TuningShards(Shardable):
     def run_shard(self, context: BenchmarkContext, shard_id: str):
         return run_tuning_shard(context, shard_id)
 
-    def merge(self, context: BenchmarkContext, shards: Mapping[str, object]) -> str:
-        return render_tuning(merge_tuning(shards))
+    def merge(
+        self, context: BenchmarkContext, shards: Mapping[str, object]
+    ) -> tuple[str, list[str]]:
+        return render_tuning(merge_tuning(shards)), []  # no paper shape

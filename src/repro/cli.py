@@ -37,6 +37,7 @@ from repro.core.models import (
     DEFAULT_TRAIN_EXAMPLES,
     DEFAULT_TREES,
     RandomForestModel,
+    positive_int,
     train_default_forest,
     train_examples,
 )
@@ -171,11 +172,11 @@ def main(argv: list[str] | None = None) -> int:
              "the file as-is and the server always caps)",
     )
     streaming.add_argument(
-        "--chunk-rows", type=int, default=None, metavar="N",
+        "--chunk-rows", type=positive_int, default=None, metavar="N",
         help="rows per streamed chunk (default 16384; implies --stream)",
     )
     streaming.add_argument(
-        "--distinct-cap", type=int, default=None, metavar="N",
+        "--distinct-cap", type=positive_int, default=None, metavar="N",
         help="distinct values tracked per column before the sketch spills "
              "(default 65536; implies --stream)",
     )

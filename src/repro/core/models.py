@@ -278,6 +278,15 @@ def train_examples(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """``argparse`` type of a count that must be at least 1, so a zero or
+    negative size fails when the arguments are parsed."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def train_default_forest(
     n_examples: int = DEFAULT_TRAIN_EXAMPLES,
     trees: int = DEFAULT_TREES,

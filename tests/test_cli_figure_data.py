@@ -85,6 +85,17 @@ class TestInferCli:
             "least 50 to cover the nine classes, got 20"
         )
 
+    @pytest.mark.parametrize("flag", ["--chunk-rows", "--distinct-cap"])
+    def test_zero_stream_size_exits_2(self, sample_csv, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            infer_main([str(sample_csv), flag, "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"repro-infer: error: argument {flag}: must be at least 1, got 0"
+        )
+
     def test_train_examples_floor_is_the_corpus_floor(self):
         from repro.core.models import MIN_TRAIN_EXAMPLES
         from repro.datagen.corpus import generate_corpus

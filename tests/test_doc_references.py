@@ -18,10 +18,12 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: ``scripts/<name>.py``, ``BENCH_<name>.json`` and recorded run output
-#: ``<name>_output.txt``; ``*`` matches as a glob.
+#: ``scripts/<name>.py``, ``benchmarks/bench_<name>.py``,
+#: ``BENCH_<name>.json`` and recorded run output ``<name>_output.txt``;
+#: ``*`` matches as a glob.
 _REFERENCE = re.compile(
-    r"scripts/[\w*-]+\.py|BENCH_[\w*]+\.json|[\w*/-]*_output\.txt"
+    r"scripts/[\w*-]+\.py|benchmarks/bench_[\w*]+\.py|BENCH_[\w*]+\.json"
+    r"|[\w*/-]*_output\.txt"
 )
 
 #: ``tests/<file>.py::Name`` or ``tests/<file>.py::Class::test`` node ids.
@@ -52,14 +54,16 @@ def test_referenced_files_exist(path):
 def test_reference_check_catches_missing_run_records():
     text = (
         "Recorded runs: `test_output.txt` (540 tests passed) and "
-        "`benchmarks/bench_output.txt`; `scripts/chaos_smoke.py`."
+        "`benchmarks/bench_output.txt`; `pytest benchmarks/bench_table1.py` "
+        "and `benchmarks/bench_*.py`; `scripts/chaos_smoke.py`."
     )
     refs = _REFERENCE.findall(text)
     assert refs == [
         "test_output.txt", "benchmarks/bench_output.txt",
+        "benchmarks/bench_table1.py", "benchmarks/bench_*.py",
         "scripts/chaos_smoke.py",
     ]
-    assert [ref for ref in refs if not any(REPO_ROOT.glob(ref))] == refs[:2]
+    assert [ref for ref in refs if not any(REPO_ROOT.glob(ref))] == refs[:4]
 
 
 def _module_names(path: Path) -> dict[str, set[str] | None]:

@@ -505,15 +505,15 @@ class TestAtomicExports:
 # ---------------------------------------------------------------------------
 
 
-def _fake_alpha(context) -> str:
-    return "alpha-output"
+def _fake_alpha(context) -> tuple[str, list[str]]:
+    return "alpha-output", []
 
 
-def _fake_beta(context) -> str:
-    return "beta-output"
+def _fake_beta(context) -> tuple[str, list[str]]:
+    return "beta-output", []
 
 
-def _fake_boom(context) -> str:
+def _fake_boom(context) -> tuple[str, list[str]]:
     raise ValueError("boom from inside the experiment")
 
 
@@ -641,7 +641,7 @@ class TestRunnerCLI:
         def make_fake(name):
             def fake(context):
                 calls.append(name)
-                return f"{name}-output"
+                return f"{name}-output", []
             return fake
 
         monkeypatch.setitem(runner.EXPERIMENTS, "fake_a", make_fake("fake_a"))
@@ -671,7 +671,7 @@ class TestRunnerCLI:
         def make_fake(name):
             def fake(context):
                 calls.append(name)
-                return f"{name}-output"
+                return f"{name}-output", []
             return fake
 
         monkeypatch.setitem(runner.EXPERIMENTS, "fake_a", make_fake("fake_a"))
@@ -696,7 +696,7 @@ class TestRunnerCLI:
 
         def fake(context):
             calls.append(context.n_examples)
-            return f"rows at scale {context.n_examples}"
+            return f"rows at scale {context.n_examples}", []
 
         monkeypatch.setitem(runner.EXPERIMENTS, "fake_a", fake)
         argv = ["fake_a", "--run-dir", str(tmp_path / "run"), "--seed", "1"]

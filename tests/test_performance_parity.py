@@ -534,4 +534,5 @@ class TestSerialVsParallel:
         assert [r["name"] for r in records] == names
         fresh = BenchmarkContext(n_examples=300, seed=1)
         for record in records:
-            assert record["output"] == run_experiment(record["name"], fresh)
+            assert (record["output"], record["shape_failures"]) == \
+                run_experiment(record["name"], fresh)

@@ -103,24 +103,25 @@ class FakeHeavyShards(Shardable):
         lines = [
             f"{sid}={shards[sid]['value']}" for sid in self.shard_ids(context)
         ]
-        return "fake-heavy:\n" + "\n".join(lines)
+        return "fake-heavy:\n" + "\n".join(lines), []
 
 
 def fake_heavy_serial(context=None) -> str:
     sh = FakeHeavyShards()
-    return sh.merge(
+    output, _ = sh.merge(
         context, {sid: sh.run_shard(context, sid) for sid in FAKE_SHARDS}
     )
+    return output
 
 
-def _fake_mono(context) -> str:
-    return "mono-output"
+def _fake_mono(context) -> tuple[str, list[str]]:
+    return "mono-output", []
 
 
 @pytest.fixture
 def fake_shardable(monkeypatch):
     monkeypatch.setitem(
-        runner.EXPERIMENTS, "fake_heavy", lambda ctx: fake_heavy_serial(ctx)
+        runner.EXPERIMENTS, "fake_heavy", lambda ctx: (fake_heavy_serial(ctx), [])
     )
     monkeypatch.setitem(runner.EXPERIMENTS, "fake_mono", _fake_mono)
     original = sharding.get_shardable.__wrapped__  # bypass the lru_cache
@@ -794,7 +795,7 @@ class GatedShards(Shardable):
         return {"cell": shard_id}
 
     def merge(self, context, shards):
-        return ",".join(shards[sid]["cell"] for sid in GATED_SHARDS)
+        return ",".join(shards[sid]["cell"] for sid in GATED_SHARDS), []
 
 
 def _exited(pid: int) -> bool:

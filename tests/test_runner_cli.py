@@ -13,7 +13,8 @@ def test_registry_covers_every_paper_artifact():
     expected = {
         "table1", "table2", "table3", "downstream", "table7", "table11",
         "table12", "table14", "table15", "figure9", "table17", "table18",
-        "figure7", "labeling", "tuning", "leaderboard",
+        "figure7", "labeling", "tuning", "leaderboard", "weak", "active",
+        "importance",
     }
     assert set(EXPERIMENTS) == expected
 
@@ -25,10 +26,12 @@ def test_unknown_experiment_raises(small_context):
 
 def test_run_cheap_experiments(small_context):
     # table18 needs no model fits; labeling trains one small forest
-    out = run_experiment("table18", small_context)
+    out, shape_failures = run_experiment("table18", small_context)
     assert "by class" in out
-    out = run_experiment("labeling", small_context)
+    assert shape_failures == []  # below SHAPE_CHECK_SCALE nothing is checked
+    out, shape_failures = run_experiment("labeling", small_context)
     assert "5-fold CV accuracy" in out
+    assert shape_failures == []
 
 
 def test_cli_main_runs_one_experiment(capsys):
@@ -46,6 +49,33 @@ def test_cli_rejects_unknown_experiment(capsys):
         assert exc_info.value.code == 2
         err = capsys.readouterr().err
         assert f"unknown experiment(s) {named!r}; available: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["table18", "--scale", "20"],
+    ["goldens", "check", "--scale", "20"],
+    ["work", "--run-dir", "unused", "--scale", "20"],
+    ["merge", "--run-dir", "unused", "--scale", "20"],
+])
+def test_cli_rejects_a_scale_below_the_corpus_floor(argv, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        "argument --scale: must be at least 50 to cover the nine classes, "
+        "got 20"
+    )
+
+
+def test_report_rejects_a_scale_below_the_corpus_floor(capsys):
+    from repro.benchmark.report import main as report_main
+
+    with pytest.raises(SystemExit) as exc_info:
+        report_main(["--scale", "20"])
+    assert exc_info.value.code == 2
+    assert "must be at least 50" in capsys.readouterr().err
 
 
 def test_cli_observability_flags_write_manifest_and_metrics(tmp_path, capsys):

@@ -89,18 +89,19 @@ class FakeHeavyShards(Shardable):
         lines = [
             f"{sid}={shards[sid]['value']}" for sid in self.shard_ids(context)
         ]
-        return "fake-heavy:\n" + "\n".join(lines)
+        return "fake-heavy:\n" + "\n".join(lines), []
 
 
 def fake_heavy_serial(context=None) -> str:
     sh = FakeHeavyShards()
-    return sh.merge(
+    output, _ = sh.merge(
         context, {sid: sh.run_shard(context, sid) for sid in FAKE_SHARDS}
     )
+    return output
 
 
-def _fake_mono(context) -> str:
-    return "mono-output"
+def _fake_mono(context) -> tuple[str, list[str]]:
+    return "mono-output", []
 
 
 @pytest.fixture
@@ -108,7 +109,7 @@ def fake_shardable(monkeypatch):
     """Register ``fake_heavy`` as a shardable experiment + a monolithic
     sibling, visible to forked workers through inherited memory."""
     monkeypatch.setitem(
-        runner.EXPERIMENTS, "fake_heavy", lambda ctx: fake_heavy_serial(ctx)
+        runner.EXPERIMENTS, "fake_heavy", lambda ctx: (fake_heavy_serial(ctx), [])
     )
     monkeypatch.setitem(runner.EXPERIMENTS, "fake_mono", _fake_mono)
     original = sharding.get_shardable.__wrapped__  # bypass the lru_cache
@@ -154,7 +155,7 @@ class TestShardMergeParity:
         for seed in (0, 1, 2):
             items = list(payloads.items())
             random.Random(seed).shuffle(items)
-            assert shardable.merge(shard_context, dict(items)) == serial
+            assert shardable.merge(shard_context, dict(items)) == (serial, [])
 
     def test_table15_sharded_equals_serial_any_order(self, shard_context):
         from repro.benchmark.table15 import (
@@ -172,7 +173,7 @@ class TestShardMergeParity:
         }
         items = list(payloads.items())
         random.Random(99).shuffle(items)
-        assert shardable.merge(shard_context, dict(items)) == serial
+        assert shardable.merge(shard_context, dict(items)) == (serial, [])
 
     def test_downstream_sharded_equals_serial_any_order(self, shard_context):
         from repro.benchmark.downstream_exp import (
@@ -194,7 +195,7 @@ class TestShardMergeParity:
         }
         items = list(payloads.items())
         random.Random(5).shuffle(items)
-        assert shardable.merge(shard_context, dict(items)) == serial
+        assert shardable.merge(shard_context, dict(items)) == (serial, [])
 
     def test_merge_rejects_missing_shards(self, shard_context):
         shardable = get_shardable("tuning")
