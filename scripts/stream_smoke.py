@@ -16,7 +16,8 @@ file fails.
 
 Every generated column keeps its distinct-value count under the sketch's
 distinct cap, so the capped statistics are exactly the exact run's and
-the prediction comparison is strict.
+the prediction comparison is strict.  One column is non-ASCII, so the
+stats kernel's codepoint path runs end to end too.
 
 CI runs this at ~1M rows (``--rows 1000000 --ceiling-mb 512
 --buffered-ceiling-mb 120``; ``.github/workflows/ci.yml`` explains the
@@ -75,13 +76,14 @@ def generate_csv(path: Path, n_rows: int) -> int:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(
-            ["id", "amount", "city", "tag", "flag", "comment"]
+            ["id", "amount", "city", "street", "tag", "flag", "comment"]
         )
         for i in range(n_rows):
             writer.writerow([
                 i % 50_000,
                 f"{(i % 10_000) * 1.25 + 0.5:.2f}",
                 CITIES[i % len(CITIES)],
+                f"Straße-{i % 500}",
                 TAGS[i % len(TAGS)],
                 "true" if i % 3 else "false",
                 f"row {i % 40_000} {PAD}",

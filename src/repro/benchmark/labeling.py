@@ -68,7 +68,8 @@ def run_labeling_bootstrap(
     forest.fit(X_seed, y_seed)
     rest = dataset.subset(rest_idx)
     predictions = forest.predict(builder.transform(rest.profiles))
-    group_sizes = dict(Counter(predictions))
+    # the forest predicts numpy strings; the groups are keyed by plain str
+    group_sizes = dict(Counter(map(str, predictions)))
     return BootstrapResult(
         seed_size=seed_size, cv_accuracy=cv_accuracy, group_sizes=group_sizes
     )

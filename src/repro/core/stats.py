@@ -153,11 +153,19 @@ def _delimiter_count(text: str) -> int:
 #: back to the per-value scalar path (they never occur in benchmark corpora).
 _LUT_MAX = 0x3000
 
-_LUTS: dict[str, np.ndarray] | None = None
+_LUTS: dict | None = None
 
+#: Bits of the kernel's per-character class byte.  Each one is a count the
+#: slice sums per value, and bit k is field k of :func:`_field_counts`.
+_WS, _DIGIT, _DELIM, _NUMERIC_OK = 1, 2, 4, 8
+_N_FIELDS = 4
+#: _CLASS_BITS[c, k] is bit k of class byte c.
+_CLASS_BITS = (np.arange(1 << _N_FIELDS)[:, None] >> np.arange(_N_FIELDS)) & 1
 
-#: Base-33 positional weights for the token hash; position clamps at 7.
-_POW33 = 33 ** np.arange(8, dtype=np.int64)
+#: Only tokens this short can be stop words, so only they are hashed.
+_MAX_STOPWORD_LEN = max(map(len, STOPWORDS))
+#: Base-33 positional weights of the token hash.
+_POW33 = 33 ** np.arange(_MAX_STOPWORD_LEN, dtype=np.int64)
 
 
 def _stopword_hashes() -> np.ndarray:
@@ -169,43 +177,45 @@ def _stopword_hashes() -> np.ndarray:
     return np.array(sorted(hashes), dtype=np.int64)
 
 
-def char_luts() -> dict[str, np.ndarray]:
-    """Lazily-built codepoint lookup tables driving the vectorized kernel.
+def char_luts() -> dict:
+    """Lazily-built lookup tables driving the vectorized kernel.
 
-    The first call costs a few milliseconds (a Python loop over every
-    codepoint up to ``_LUT_MAX``); long-lived services call it at start-up
-    so no request pays it.
+    ``cls`` and ``stop_digit`` map a codepoint (clipped to ``_LUT_MAX + 1``)
+    to its class byte and its stop-word hash digit; ``ascii_cls`` and
+    ``ascii_stop`` are their first 128 entries as ``bytes.translate``
+    tables.  The first call costs a few milliseconds (a Python loop over
+    every codepoint up to ``_LUT_MAX``); long-lived services call it at
+    start-up so no request pays it.
     """
     global _LUTS
     if _LUTS is None:
         size = _LUT_MAX + 2  # one extra slot for clipped (out-of-range) codes
-        ws = np.zeros(size, dtype=bool)
-        digit = np.zeros(size, dtype=bool)
+        cls = np.zeros(size, dtype=np.uint8)
         # token-hash digit: 0 for whitespace (no contribution), 1..26 for
         # chars whose str.lower() is a single a..z (the only chars that can
         # appear in a stop word), 28 otherwise (poisons the hash)
-        stop_digit = np.full(size, 28, dtype=np.int64)
+        stop_digit = np.full(size, 28, dtype=np.uint8)
         for code in range(_LUT_MAX + 1):
             ch = chr(code)
             if ch.isspace():
-                ws[code] = True
+                # strippable padding around a numeric literal
+                cls[code] = _WS | _NUMERIC_OK
                 stop_digit[code] = 0
             else:
                 low = ch.lower()
                 if len(low) == 1 and "a" <= low <= "z":
                     stop_digit[code] = ord(low) - 96
             if ch.isdecimal():  # what regex \d can match below the cap
-                digit[code] = True
-        delim = np.zeros(size, dtype=bool)
+                cls[code] = _DIGIT | _NUMERIC_OK
         for ch in _DELIMITERS:
-            delim[ord(ch)] = True
-        numeric_ok = digit.copy()
-        numeric_ok |= ws  # strippable padding around a numeric literal
+            cls[ord(ch)] = _DELIM
         for ch in "+-.eE":
-            numeric_ok[ord(ch)] = True
+            cls[ord(ch)] = _NUMERIC_OK
+        pad = bytes(256 - 128)  # translate tables need 256 entries
         _LUTS = {
-            "ws": ws, "digit": digit, "delim": delim,
-            "numeric_ok": numeric_ok, "stop_digit": stop_digit,
+            "cls": cls, "stop_digit": stop_digit,
+            "ascii_cls": cls[:128].tobytes() + pad,
+            "ascii_stop": stop_digit[:128].tobytes() + pad,
             "stop_hashes": _stopword_hashes(),
         }
     return _LUTS
@@ -226,8 +236,8 @@ def _scan_value(text: str) -> tuple[float, float, float, float, float, float]:
 
 
 #: Characters per slice of :func:`_scan_distinct`.  The kernel allocates
-#: about 56 bytes of int/bool arrays per character, so a slice's transient
-#: stays near 15 MB however many characters the distinct values hold.
+#: about 18 bytes per character, so a slice's transient stays near 5 MB
+#: however many characters the distinct values hold.
 SCAN_SLICE_CHARS = 1 << 18
 
 
@@ -259,106 +269,156 @@ def _scan_distinct(
         start = stop
 
 
+def _classify(flat: str, luts: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class bytes, stop-word hash digits and out-of-LUT positions of
+    ``flat``'s characters.
+
+    The kernel's one branch: an ASCII string (``str.isascii`` is O(1))
+    goes through two ``bytes.translate`` calls, any other through the
+    codepoint LUTs, with the positions above ``_LUT_MAX`` reported for the
+    scalar fallback.
+    """
+    if flat.isascii():
+        raw = flat.encode("ascii")
+        return (
+            np.frombuffer(raw.translate(luts["ascii_cls"]), dtype=np.uint8),
+            np.frombuffer(raw.translate(luts["ascii_stop"]), dtype=np.uint8),
+            np.empty(0, dtype=np.intp),
+        )
+    codes = np.frombuffer(flat.encode("utf-32-le"), dtype=np.uint32)
+    exotic = np.flatnonzero(codes > _LUT_MAX)
+    codes = np.minimum(codes, _LUT_MAX + 1)
+    if telemetry.enabled:
+        telemetry.count("stats.scan_slices_codepoint")
+    return luts["cls"][codes], luts["stop_digit"][codes], exotic
+
+
+def _field_counts(
+    cls: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Per-value counts of each class bit, shape (_N_FIELDS, len(starts)).
+
+    Each bit becomes a field of one int64 weight, as wide as the longest
+    value's length needs, so one segment sum counts up to 63 // width
+    classes at once (all four unless a value reaches 2**15 characters).
+    A value's segment runs to the next value's start and so holds the space
+    after the value, whose weight is subtracted again.  A value's count of
+    any class is at most its length, below ``2**width``, so the difference
+    holds every field without a carry (exact modulo 2**64).
+    """
+    width = max(int(lengths.max()), 1).bit_length()
+    per_sum = 63 // width
+    out = np.empty((_N_FIELDS, len(starts)), dtype=np.int64)
+    cls = cls[: starts[-1] + lengths[-1] + 1]
+    for first in range(0, _N_FIELDS, per_sum):
+        last = min(first + per_sum, _N_FIELDS)
+        shifts = np.arange(last - first, dtype=np.int64) * width
+        # class byte -> its bits first..last-1, each shifted to its field
+        weights = _CLASS_BITS[:, first:last] @ (1 << shifts)
+        packed = np.add.reduceat(weights[cls], starts)
+        packed -= weights[_WS | _NUMERIC_OK]
+        out[first:last] = (packed >> shifts[:, None]) & ((1 << width) - 1)
+    return out
+
+
 def _scan_slice(
     values: list[str], lengths: np.ndarray,
     counts: np.ndarray, parsed: np.ndarray,
 ) -> None:
     """Vectorized scan of one slice, producing all measures at once.
 
-    All character classification runs as LUT lookups over one flat codepoint
-    array covering every value of the slice; per-value totals are recovered
-    with segment sums (prefix-sum differences).  Python falls back per value
-    only where it must: stop-word membership for values containing letters,
-    the numeric parse for values that pass the numeric-charset prefilter,
-    and codepoints beyond the LUT range.
+    The slice is joined into one string with a space before, between and
+    after its values, so every token boundary is a whitespace transition.
+    :func:`_classify` turns it into one class byte and one stop-word digit
+    per character; everything after is one code path.  Per-value counts
+    come from one packed segment sum over the class bytes, tokens from the
+    whitespace transitions, and stop words from base-33 hashes of the
+    tokens no longer than the longest stop word.  The numeric candidates
+    are parsed by one mapped ``float()`` (:func:`_parse_floats`), and only
+    values holding codepoints beyond the LUT range rerun in Python.
     """
     d = len(values)
     luts = char_luts()
-    ends = np.cumsum(lengths)
+    # value i spans flat[starts[i]:ends[i]], and flat[ends[i]] is a space;
+    # the trailing padding keeps the token-hash gathers below in bounds
+    ends = np.cumsum(lengths + 1)
     starts = ends - lengths
-    flat = "".join(values)
-    codes = np.frombuffer(flat.encode("utf-32-le"), dtype=np.uint32)
-    exotic_codes = codes > _LUT_MAX
-    idx = codes.astype(np.intp)
-    np.minimum(idx, _LUT_MAX + 1, out=idx)
+    flat = " ".join(["", *values, " " * _MAX_STOPWORD_LEN])
+    cls, stop_digit, exotic = _classify(flat, luts)
+    if telemetry.enabled:
+        telemetry.count("stats.scan_chars", int(lengths.sum()))
 
-    total_chars = len(codes)
-    # int32 prefix: totals stay below 2**31 and the cumsum is memory-bound
-    prefix = np.empty(total_chars + 1, dtype=np.int32)
-
-    def segment_sum(mask: np.ndarray) -> np.ndarray:
-        prefix[0] = 0
-        np.cumsum(mask, out=prefix[1:])
-        return prefix[ends] - prefix[starts]
-
-    ws_mask = luts["ws"][idx]
-    # a word starts at a non-space char preceded by a space or a boundary
-    word_start = ~ws_mask
-    prev_ws = np.empty(total_chars, dtype=bool)
-    if total_chars:
-        prev_ws[0] = True
-        prev_ws[1:] = ws_mask[:-1]
-        # an empty value ending the slice starts past its last char
-        prev_ws[starts[lengths > 0]] = True
-    word_start &= prev_ws
-
+    ws, digit, delim, numeric_ok = _field_counts(cls, starts, lengths)
     counts[2] = lengths
-    counts[3] = segment_sum(ws_mask)
-    counts[4] = segment_sum(luts["delim"][idx])
+    counts[3] = ws
+    counts[4] = delim
 
-    # numeric parse candidates: >=1 digit, every char in the numeric charset.
-    # Within that charset ``float()`` accepts exactly what the literal regex
-    # in ``try_parse_float`` does, so the regex is skipped.
-    parsed[:] = np.nan
-    candidate = (segment_sum(luts["digit"][idx]) > 0) & (
-        segment_sum(luts["numeric_ok"][idx]) == lengths
+    # whitespace -> non-whitespace transitions start tokens, the reverse end
+    # them; the padding makes them alternate, beginning with a start
+    ws_mask = cls & _WS
+    edges = np.flatnonzero(ws_mask[1:] != ws_mask[:-1])
+    edges += 1
+    token_starts, token_ends = edges[0::2], edges[1::2]
+    # the tokens of value i start at or after starts[i] and before ends[i]
+    tokens_before = np.searchsorted(token_starts, ends)
+    counts[0] = tokens_before
+    counts[0, 1:] -= tokens_before[:-1]
+
+    # Stop-word counting without touching Python strings: hash each short
+    # token positionally in base 33 over its per-char lowercase digits
+    # (non-letter chars poison the hash with digit 28) and membership-test
+    # the hashes against the precomputed stop-word set.  Digits stay below
+    # 33, so the hash of a token is unique among tokens of any length.
+    token_len = token_ends - token_starts
+    short = token_len <= _MAX_STOPWORD_LEN
+    first, token_len = token_starts[short], token_len[short]
+    token_hash = np.zeros(len(first), dtype=np.int64)
+    for p, weight in enumerate(_POW33):
+        # the p-th character of each token, zeroed past its end
+        token_hash += stop_digit[first + p] * np.where(token_len > p, weight, 0)
+    stop_hashes = luts["stop_hashes"]
+    loc = np.searchsorted(stop_hashes, token_hash)
+    np.minimum(loc, len(stop_hashes) - 1, out=loc)
+    stops = first[stop_hashes[loc] == token_hash]
+    counts[1] = np.bincount(
+        np.searchsorted(ends, stops, side="right"), minlength=d
     )
 
-    # The word-count prefix sum runs last so its cumsum doubles as the
-    # per-char token id (prefix[i+1] - 1) for the stop-word hashing below.
-    counts[0] = segment_sum(word_start)
-
-    # Stop-word counting without touching Python strings: hash every token
-    # positionally in base 33 over per-char lowercase digits (whitespace
-    # contributes 0, non-letter chars poison the hash with digit 28) and
-    # membership-test the hashes against the precomputed stop-word set.
-    # Tokens longer than any stop word pick up a contribution >= 33**6,
-    # which already exceeds every stop-word hash, so no length mask is
-    # needed; the position clamp at 7 only guards against int64 overflow.
-    token_starts = np.flatnonzero(word_start)
-    if token_starts.size:
-        dig = luts["stop_digit"][idx]
-        token_id = prefix[1:]  # cumsum(word_start), mutated in place
-        token_id -= 1
-        np.maximum(token_id, 0, out=token_id)  # leading-whitespace chars
-        pos = np.arange(total_chars, dtype=np.int64) - token_starts[token_id]
-        # whitespace before the first token gets a negative position; its
-        # digit is 0 and it lies outside every token's segment anyway
-        np.clip(pos, 0, 7, out=pos)
-        token_hash = np.add.reduceat(dig * _POW33[pos], token_starts)
-        stop_hashes = luts["stop_hashes"]
-        loc = np.searchsorted(stop_hashes, token_hash)
-        np.minimum(loc, len(stop_hashes) - 1, out=loc)
-        is_stop = stop_hashes[loc] == token_hash
-        value_of_token = np.searchsorted(ends, token_starts, side="right")
-        counts[1] = np.bincount(value_of_token[is_stop], minlength=d)
-    else:
-        counts[1] = 0.0
-    isfinite = math.isfinite
-    for i in np.flatnonzero(candidate):
-        try:
-            value = float(values[i])
-        except ValueError:
-            continue
-        if isfinite(value):
-            parsed[i] = value
+    # numeric parse candidates: >=1 digit, every char in the numeric charset.
+    # Within that charset ``float()`` of the stripped text accepts exactly
+    # what the literal regex in ``try_parse_float`` does, so the regex is
+    # skipped.  (``float()`` itself does not strip "\x1c".."\x1f".)
+    parsed[:] = np.nan
+    candidates = np.flatnonzero((digit > 0) & (numeric_ok == lengths))
+    if candidates.size:
+        numbers = _parse_floats(
+            map(str.strip, map(values.__getitem__, candidates.tolist()))
+        )
+        finite = np.isfinite(numbers)
+        parsed[candidates[finite]] = numbers[finite]
 
     # values with out-of-LUT codepoints rerun through the scalar reference
-    if exotic_codes.any():
-        for i in np.flatnonzero(segment_sum(exotic_codes) > 0):
+    if exotic.size:
+        for i in np.unique(np.searchsorted(ends, exotic, side="right")):
             scan = _scan_value(values[i])
             counts[:, i] = scan[:5]
             parsed[i] = scan[5]
+
+
+def _parse_floats(texts) -> np.ndarray:
+    """``float()`` of every text, NaN where it raises ("1-2", "2021-01-05").
+
+    ``list.extend`` keeps the numbers parsed before the text that raised,
+    and ``map`` resumes after it, so Python runs once per failure, not once
+    per text.
+    """
+    numbers: list[float] = []
+    while True:
+        try:
+            numbers.extend(map(float, texts))
+            return np.array(numbers, dtype=np.float64)
+        except ValueError:
+            numbers.append(math.nan)
 
 
 def _probe_samples(

@@ -23,7 +23,7 @@ stays order-independent.
 
 Bounded state: the distinct-value dict is capped, sample candidates are
 capped at ``sample_k``, and the moment accumulators are O(1).  The
-per-chunk scan reuses the LUT/segment-sum kernel through a shared
+per-chunk scan reuses the class-byte scan kernel through a shared
 :class:`~repro.core.stats.StatsScanCache`, which trims itself past its
 ``max_values`` in :meth:`~repro.core.stats.StatsScanCache.end_batch` at
 the end of every tally.
@@ -32,6 +32,7 @@ the end of every tally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from repro.core.stats import (
     tally_columns,
 )
 from repro.obs import telemetry
-from repro.tabular.dtypes import is_missing
+from repro.tabular.dtypes import MISSING_TOKENS
 
 #: Distinct values tracked per column before the sketch spills.  Sized so
 #: benchmark-scale columns (hundreds of rows) never spill while a single
@@ -137,38 +138,52 @@ class ColumnSketch:
         values, and return its present cells for
         :func:`~repro.core.stats.tally_columns`, whose result goes to
         :meth:`add_tally`.  Arguments as for :meth:`update`.
+
+        The missing test is ``is_missing`` inlined, the distinct set takes
+        one insertion per present cell, and the head samples cost nothing
+        once the head is full.  Only a chunk holding a ``None`` or a
+        non-``str`` cell is normalized first.
         """
         if cell_offset is None:
             cell_offset = self.n_total
-        k = self.config.sample_k
-        head = self._head
-        head_open = self._head_open
-        present: list[str] = []
-        append = present.append
-        index = cell_offset
-        for cell in cells:
-            if cell is not None:
-                text = cell if type(cell) is str else str(cell)
-                if not is_missing(text):
-                    append(text)
-                    if head_open and text not in head:
-                        head[text] = index
-                        if len(head) >= k:
-                            head_open = False
-            index += 1
-        self._head_open = head_open
+        if set(map(type, cells)) - {str}:
+            # None reads as "", which is missing
+            cells = [
+                cell if type(cell) is str else "" if cell is None else str(cell)
+                for cell in cells
+            ]
+        present = [
+            cell for cell in cells
+            if cell.strip().lower() not in MISSING_TOKENS
+        ]
+        if self._head_open:
+            self._admit_head(present, cells, cell_offset)
         self.n_total += len(cells)
         self.n_present += len(present)
         self.n_chunks += 1
 
         if not self.distinct_overflowed:
             distinct = self._distinct
-            distinct.update(dict.fromkeys(present))
+            distinct.update(zip(present, repeat(None)))
             if len(distinct) > self.config.distinct_cap:
                 self._spill_distinct()
         if telemetry.enabled:
             telemetry.count("sketch.cells", len(cells))
         return present
+
+    def _admit_head(self, present: list[str], cells, cell_offset: int) -> None:
+        """Add the chunk's first-seen distinct values to the open head.
+
+        At most ``sample_k - 1`` values are already in the head, so the
+        loop visits at most ``2 * sample_k`` values however long the chunk.
+        """
+        head = self._head
+        for value in dict.fromkeys(present):
+            if value not in head:
+                head[value] = cell_offset + cells.index(value)
+                if len(head) >= self.config.sample_k:
+                    self._head_open = False
+                    return
 
     def add_tally(self, tally: ColumnTally, i: int) -> None:
         """Add column ``i`` of a :func:`~repro.core.stats.tally_columns`

@@ -217,6 +217,8 @@ class TestLabeling:
         assert sum(result.group_sizes.values()) == len(
             small_context.dataset
         ) - result.seed_size
+        # plain str keys, so the printed groups read {'Numeric': ...}
+        assert {type(key) for key in result.group_sizes} == {str}
 
     def test_crowdsourcing_noise(self, small_context):
         from repro.benchmark.labeling import run_crowdsourcing_simulation

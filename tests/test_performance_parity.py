@@ -44,6 +44,7 @@ from repro.core.stats import (
     compute_stats_batch,
 )
 from repro.datagen.corpus import generate_corpus
+from repro.obs import telemetry
 from repro.tabular.column import Column
 from repro.tabular.csv_io import CSVReadError, load_csv_table
 
@@ -425,13 +426,74 @@ class TestBoundedScan:
         # Per distinct value: its interner entry and int code (~100 B),
         # its scan row (6 floats, 48 B) and a few machine words per cell
         # for the codes and tally keys (~80 B); 256 B
-        # leaves headroom.  Plus one scan slice, whose arrays take ~56 B
-        # per character (64 B allowed).  This measures 45 MB against the
+        # leaves headroom.  Plus one scan slice, whose arrays take ~18 B
+        # per character (64 B allowed).  This measures 37 MB against the
         # 68 MB bound; a scan over all characters at once adds
-        # ~56 B x 5.6M = ~314 MB and fails it.
+        # ~18 B x 5.6M = ~100 MB and fails it.
         bound = n * 256 + 64 * stats.SCAN_SLICE_CHARS
         assert chars > 10 * stats.SCAN_SLICE_CHARS
         assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"
+
+
+#: Every ASCII whitespace character, the delimiters, the numeric charset,
+#: and stop words (or near misses) in both cases: the ASCII fast path's
+#: whole vocabulary.
+ASCII_PIECES = (
+    list("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ,;|:+-.eE0123456789xZ")
+    + ["the", "THE", "The", "of", "A", "i", "about", "BEFORE", "should",
+       "abouts", "th", "theX", "x1"]
+)
+
+ascii_value_strategy = st.one_of(
+    st.lists(st.sampled_from(ASCII_PIECES), max_size=10).map("".join),
+    # bulk float() raises on the first two and overflows on the third
+    st.sampled_from(["1-2", "2021-01-05", "1e999", " -0 ", "1e-5 ", "e5"]),
+)
+
+
+def _reference_scan(values):
+    rows = [_scan_value(value) for value in values]
+    counts = np.array([row[:5] for row in rows]).T.reshape(5, len(values))
+    return counts, np.array([row[5] for row in rows])
+
+
+class TestScanKernel:
+    """The class-byte kernel equals the scalar reference on both of its
+    conversion paths, and its packed counts cannot carry."""
+
+    @given(values=st.lists(ascii_value_strategy, min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_ascii_slice_equals_scalar_reference(self, values):
+        assert _bits(*_scan(values)) == _bits(*_reference_scan(values))
+
+    @given(values=st.lists(ascii_value_strategy, min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_codepoint_path_gives_the_ascii_rows(self, values):
+        """One non-ASCII value sends the whole slice down the codepoint
+        LUTs; every other value's row stays what the ASCII path gives."""
+        counts, parsed = _scan(values + ["Straße"])
+        assert _bits(counts[:, :-1].copy(), parsed[:-1].copy()) == _bits(
+            *_scan(values)
+        )
+
+    def test_codepoint_path_is_counted(self):
+        telemetry.enable()
+        telemetry.reset()
+        try:
+            _scan(["plain", "ascii"])
+            _scan(["Straße", "x y"])
+            counter = telemetry.metrics.counter
+            assert counter("stats.scan_chars").value == 19
+            assert counter("stats.scan_slices_codepoint").value == 1
+        finally:
+            telemetry.reset()
+            telemetry.disable()
+
+    def test_counts_longer_than_two_to_the_21(self):
+        """A value past 2**21 characters (its own slice) overflows 21-bit
+        packed fields: its whitespace or digit count must not carry."""
+        values = [" " * (1 << 21) + "the x", "1" * ((1 << 21) + 3), "of ,"]
+        assert _bits(*_scan(values)) == _bits(*_reference_scan(values))
 
 
 class TestArtifactCacheParity:

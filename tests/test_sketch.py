@@ -32,14 +32,26 @@ from repro.sketch import (
 )
 from repro.tabular.column import Column
 from repro.tabular.csv_io import iter_csv_chunks, read_csv_text
+from repro.tabular.dtypes import MISSING_TOKENS
+
+#: Every missing token, padded and in any case (" N/A ", "\tnull").
+missing_strategy = st.builds(
+    lambda token, case, left, right: left + case(token) + right,
+    st.sampled_from(sorted(MISSING_TOKENS)),
+    st.sampled_from([str.lower, str.upper, str.title]),
+    st.sampled_from(["", " ", "\t"]),
+    st.sampled_from(["", " ", "\n"]),
+)
 
 cells_strategy = st.lists(
     st.one_of(
         st.none(),
         st.integers(-10_000, 10_000).map(str),
+        st.integers(-3, 3),  # non-str cells are normalized with str()
         st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.6g}"),
         st.text(alphabet="abc xyz;,.!?0123456789", max_size=20),
         st.sampled_from(["NA", "null", "", "true", "False", "yes"]),
+        missing_strategy,
     ),
     min_size=1,
     max_size=60,
@@ -181,6 +193,7 @@ class TestSketchParity:
         sketch = ColumnSketch("x")
         sketch.update(cells)
         assert_stats_match(sketch.finalize(), batch_stats(cells))
+        assert sketch.samples() == Column("x", cells).head_distinct(5)
 
     @given(cells=cells_strategy, data=st.data())
     @settings(max_examples=60, deadline=None)
