@@ -19,9 +19,9 @@ distinct cap, so the capped statistics are exactly the exact run's and
 the prediction comparison is strict.  One column is non-ASCII, so the
 stats kernel's codepoint path runs end to end too.
 
-CI runs this at ~1M rows (``--rows 1000000 --ceiling-mb 512
---buffered-ceiling-mb 120``; ``.github/workflows/ci.yml`` explains the
-reference value).  The streaming profiler's evidence run (recorded in
+CI runs this at ~1M rows (``--rows 1000000 --ceiling-mb 115
+--buffered-ceiling-mb 120``; ``.github/workflows/ci.yml`` explains both
+values).  The streaming profiler's evidence run (recorded in
 CHANGES.md) used a larger file, >= 10x the 320 MB ceiling::
 
     python scripts/stream_smoke.py --rows 15000000 --ceiling-mb 320 \

@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.stats import (
     DescriptiveStats,
-    StatsScanCache,
     compute_stats,
     compute_stats_batch,
 )
@@ -102,7 +101,7 @@ def profile_columns(
     source_file: str = "",
     labels: list[FeatureType | None] | None = None,
     rng: np.random.Generator | None = None,
-    scan_cache: StatsScanCache | None = None,
+    probe_cache: dict[str, tuple[bool, bool, bool, bool, bool]] | None = None,
 ) -> list[ColumnProfile]:
     """Base-featurize a batch of raw columns through the vectorized kernel.
 
@@ -110,8 +109,9 @@ def profile_columns(
     identical to featurizing the columns one at a time), then the descriptive
     stats of the whole batch are computed in one
     :func:`~repro.core.stats.compute_stats_batch` call, which amortizes the
-    character-scan kernel across every column of the table.  A ``scan_cache``
-    carried across calls additionally dedups the scan work across tables.
+    character-scan kernel across every column of the table.  A
+    ``probe_cache`` carried across calls memoizes the sample probes across
+    tables.
     """
     if labels is None:
         labels = [None] * len(columns)
@@ -123,7 +123,9 @@ def profile_columns(
             else:
                 samples_list.append(column.sample_distinct(N_SAMPLE_VALUES, rng))
     try:
-        stats_list = compute_stats_batch(columns, list(samples_list), scan_cache)
+        stats_list = compute_stats_batch(
+            columns, list(samples_list), probe_cache
+        )
     except _KERNEL_ERRORS as exc:
         names = ", ".join(repr(c.name) for c in columns[:5])
         raise ProfileError(

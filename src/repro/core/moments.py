@@ -2,15 +2,16 @@
 
 The numeric ``mean_value``/``std_value`` of the 25 descriptive statistics
 come from :class:`ExactMoments`, whichever engine profiles the column:
-:func:`~repro.core.stats.tally_columns` builds one per column of a batch,
-and :class:`~repro.sketch.column.ColumnSketch` merges the one of every
-chunk it folds in.  Floating-point summation rounds differently depending
-on element *order*, so a chunked or merged column could not reproduce a
-whole column's bits.  :class:`ExactMoments` removes rounding from
-accumulation instead: every finite float64 is a dyadic rational
-``m * 2**e`` with ``e >= -1074``, so scaling by ``2**1074`` turns each
-value into an integer and Python's big ints carry the *true* sum (and the
-true sum of squares at scale ``2**2148``) with zero error, in any order.
+:func:`~repro.core.stats.tally_columns` builds one per column of a batch
+with :func:`grouped_moments`, and :class:`~repro.sketch.column.ColumnSketch`
+merges the one of every chunk it folds in.  Floating-point summation
+rounds differently depending on element *order*, so a chunked or merged
+column could not reproduce a whole column's bits.  :class:`ExactMoments`
+removes rounding from accumulation instead: every finite float64 is a
+dyadic rational ``m * 2**e`` with ``e >= -1074``, so scaling by
+``2**1074`` turns each value into an integer and Python's big ints carry
+the *true* sum (and the true sum of squares at scale ``2**2148``) with
+zero error, in any order.
 ``mean_std`` rounds the exact result once, so the mean/std are the
 correctly rounded true moments, bit-identical however the column was cut.
 """
@@ -31,8 +32,6 @@ _SQ_SCALE = 1 << _SQ_SCALE_BITS
 #: ``np.frexp`` fractions lie in [0.5, 1): times ``2**53`` they are exact
 #: int64 mantissas.
 _MANTISSA_BITS = 53
-#: Values :meth:`ExactMoments.add_many` turns into Python ints at once.
-_INT_SLICE = 4096
 
 
 def _shift(value: int, bits: int) -> int:
@@ -98,57 +97,6 @@ class ExactMoments:
         if value > self.max:
             self.max = value
 
-    def add_many(self, values, weights=None) -> None:
-        """Accumulate a batch (``weights`` aligns with ``values`` when given).
-
-        Leaves the same state as calling :meth:`add_weighted` on each pair
-        in order, without a big-int shift per value: ``np.frexp`` writes
-        each value as an int64 mantissa ``m`` (``|m| < 2**53``) times
-        ``2**(e - 53)``, so the values sharing an exponent ``e`` contribute
-        ``sum(w * m)`` and ``sum(w * m * m)`` shifted once.  Non-finite
-        input raises ``ValueError`` before any state changes.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        if not values.size:
-            return
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = float(values[np.argmin(finite)])
-            raise ValueError(f"ExactMoments requires finite values, got {bad!r}")
-        if weights is None:
-            weights = np.ones(values.size, dtype=np.int64)
-        else:
-            weights = np.asarray(weights, dtype=np.int64)
-        # A slice at a time, so one slice's Python ints never pile up.
-        for cut in range(0, values.size, _INT_SLICE):
-            self._add_slice(
-                values[cut:cut + _INT_SLICE], weights[cut:cut + _INT_SLICE]
-            )
-
-    def _add_slice(self, values: np.ndarray, weights: np.ndarray) -> None:
-        fraction, exponent = np.frexp(values)
-        mantissa = np.ldexp(fraction, _MANTISSA_BITS).astype(np.int64)
-        order = np.argsort(exponent, kind="stable")
-        exponent = exponent[order]
-        mantissa = mantissa[order].tolist()
-        freq = weights[order].tolist()
-        starts = np.flatnonzero(np.diff(exponent)) + 1
-        bounds = zip([0, *starts.tolist()], [*starts.tolist(), len(freq)])
-        for lo, hi in bounds:
-            m, w = mantissa[lo:hi], freq[lo:hi]
-            shift = _SCALE_BITS + int(exponent[lo]) - _MANTISSA_BITS
-            self._sum += _shift(sum(map(mul, w, m)), shift)
-            self._sumsq += _shift(sum(map(mul, w, map(mul, m, m))), 2 * shift)
-        self.count += sum(freq)
-        # argmin/argmax take the first of equal values, as the scalar loop
-        # keeps the first of a 0.0/-0.0 tie.
-        low = float(values[np.argmin(values)])
-        high = float(values[np.argmax(values)])
-        if low < self.min:
-            self.min = low
-        if high > self.max:
-            self.max = high
-
     def merge(self, other: "ExactMoments") -> "ExactMoments":
         self.count += other.count
         self._sum += other._sum
@@ -189,3 +137,64 @@ class ExactMoments:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExactMoments(count={self.count}, min={self.min}, max={self.max})"
+
+
+def grouped_moments(
+    group: np.ndarray, values: np.ndarray, weights: np.ndarray, n_groups: int
+) -> list[ExactMoments]:
+    """Every group's :class:`ExactMoments` over its weighted values, in one
+    pass over all groups.
+
+    ``group`` (nondecreasing, in ``range(n_groups)``), ``values`` and
+    ``weights`` (non-negative integers) align.  Entry ``g`` of the result
+    is the state :meth:`ExactMoments.add_weighted` leaves after group
+    ``g``'s pairs, except that a zero min or max may carry either sign
+    (finalize reads both zeros as 0.0).  Non-finite values raise
+    ``ValueError``.
+
+    ``np.frexp`` writes each value as an int64 mantissa ``m`` (``|m| <
+    2**53``) times ``2**(e - 53)``.  One sort orders the pairs by (group,
+    exponent), and each run of equal keys adds the Python-int sums
+    ``sum(w * m)`` and ``sum(w * m * m)`` to its group's big ints, shifted
+    once, so nothing can overflow.
+    """
+    group = np.asarray(group, dtype=np.intp)
+    values = np.asarray(values, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.int64)
+    moments = [ExactMoments() for _ in range(n_groups)]
+    if not values.size:
+        return moments
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = float(values[np.argmin(finite)])
+        raise ValueError(f"ExactMoments requires finite values, got {bad!r}")
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    for g, low, high in zip(
+        group[starts].tolist(),
+        np.minimum.reduceat(values, starts).tolist(),
+        np.maximum.reduceat(values, starts).tolist(),
+    ):
+        moments[g].min, moments[g].max = low, high
+
+    fraction, exponent = np.frexp(values)
+    mantissa = np.ldexp(fraction, _MANTISSA_BITS).astype(np.int64)
+    order = np.lexsort((exponent, group))
+    group, exponent = group[order], exponent[order]
+    runs = np.flatnonzero(
+        np.diff(group, prepend=-1) | np.diff(exponent, prepend=0)
+    )
+    mantissa, weights = mantissa[order].tolist(), weights[order].tolist()
+    bounds = runs.tolist()
+    for g, e, low, high in zip(
+        group[runs].tolist(), exponent[runs].tolist(), bounds,
+        bounds[1:] + [len(weights)],
+    ):
+        m, w = mantissa[low:high], weights[low:high]
+        shift = _SCALE_BITS + e - _MANTISSA_BITS
+        accumulator = moments[g]
+        accumulator.count += sum(w)
+        accumulator._sum += _shift(sum(map(mul, w, m)), shift)
+        accumulator._sumsq += _shift(
+            sum(map(mul, w, map(mul, m, m))), 2 * shift
+        )
+    return moments

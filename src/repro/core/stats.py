@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 import re
-import threading
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.moments import ExactMoments
+from repro.core.moments import ExactMoments, grouped_moments
 from repro.obs import telemetry
 from repro.tabular.column import Column
 from repro.tabular.dtypes import (
@@ -449,238 +449,68 @@ def _probe_samples(
     return float(url), float(email), float(delim_seq), float(lst), float(date)
 
 
-class _Interner(dict):
-    """value → code dict that assigns the next code on first lookup.
-
-    ``list(map(interner.__getitem__, cells))`` interns and encodes a whole
-    column in one C-speed pass; only novel values drop into Python via
-    ``__missing__``.
-    """
-
-    def __init__(self, values: list[str]):
-        super().__init__()
-        self.value_list = values
-
-    def __missing__(self, key: str) -> int:
-        code = len(self)
-        self[key] = code
-        self.value_list.append(key)
-        return code
-
-
-class StatsScanCache:
-    """Cross-batch memo of per-value scan results.
-
-    Featurizing a corpus scans each *distinct cell value of the corpus* once:
-    the cache holds the interning table plus the scanned count/parse arrays,
-    so later tables reuse the work of earlier ones (category vocabularies,
-    small integers, and common tokens repeat heavily across files).  Pass one
-    instance through successive :func:`compute_stats_batch` calls.
-
-    ``counts``/``parsed`` are views into capacity-doubled buffers, so the
-    per-batch growth in :meth:`scan_novel` is amortized O(1) per value, and
-    the scan kernel writes its slices straight into them.
-
-    ``max_values`` bounds the resident values for long-lived callers (a
-    server, a streamed upload).  A value *hits* when a batch looks it up
-    after an earlier batch scanned it.  Once a batch leaves more than
-    ``max_values`` values interned, :meth:`end_batch` trims the cache to
-    the values that hit since the last trim (at most ``max_values``, oldest
-    first); their scan rows are copied, not rescanned.  Buffer growth is
-    clamped to the cap, so capacity stays within cap + one batch.  With a
-    ``metric_prefix``, each trim counts ``<prefix>.scan_cache_reset`` and
-    adds the values it keeps to ``<prefix>.scan_cache_kept``, and every
-    batch sets the ``<prefix>.scan_cache_values`` gauge.
-
-    ``lock`` lets profilers on several threads share one cache: a
-    :class:`~repro.sketch.StreamingProfiler` holds it around each chunk it
-    consumes and each finalize.
-    """
-
-    def __init__(
-        self, max_values: int | None = None, metric_prefix: str | None = None
-    ):
-        self.max_values = max_values
-        self.metric_prefix = metric_prefix
-        self.lock = threading.Lock()
-        self.values: list[str] = []
-        self.value_index: dict[str, int] = _Interner(self.values)
-        self._counts_buf = np.zeros((5, 0))
-        self._parsed_buf = np.zeros(0)
-        self._hit_buf = np.zeros(0, dtype=bool)
-        self.counts = self._counts_buf
-        self.parsed = self._parsed_buf
-        self.probe_cache: dict[str, tuple[bool, bool, bool, bool, bool]] = {}
-        # codes below this were scanned before the current batch's lookups
-        self._n_known = 0
-
-    @property
-    def capacity(self) -> int:
-        """Allocated scan-row slots (resident values fit without growth)."""
-        return self._counts_buf.shape[1]
-
-    def scan_novel(self) -> None:
-        """Scan any interned values that do not have measures yet."""
-        n_scanned = self.counts.shape[1]
-        self._n_known = n_scanned
-        total = len(self.values)
-        if total == n_scanned:
-            return
-        if total > self.capacity:
-            capacity = 2 * self.capacity
-            if self.max_values is not None:
-                capacity = min(capacity, self.max_values)
-            capacity = max(total, capacity)
-            grown = np.zeros((5, capacity))
-            grown[:, :n_scanned] = self._counts_buf[:, :n_scanned]
-            self._counts_buf = grown
-            grown_parsed = np.zeros(capacity)
-            grown_parsed[:n_scanned] = self._parsed_buf[:n_scanned]
-            self._parsed_buf = grown_parsed
-            if self.max_values is not None:
-                grown_hit = np.zeros(capacity, dtype=bool)
-                grown_hit[:n_scanned] = self._hit_buf[:n_scanned]
-                self._hit_buf = grown_hit
-        # the views advance only once every slice is in, so a failed scan
-        # leaves the novel values unscanned (the next call retries them)
-        _scan_distinct(
-            self.values[n_scanned:],
-            self._counts_buf[:, n_scanned:total],
-            self._parsed_buf[n_scanned:total],
-        )
-        self.counts = self._counts_buf[:, :total]
-        self.parsed = self._parsed_buf[:total]
-
-    def mark_hits(self, codes: np.ndarray) -> None:
-        """Flag the looked-up ``codes`` that an earlier batch scanned."""
-        if self.max_values is not None:
-            self._hit_buf[codes[codes < self._n_known]] = True
-
-    def end_batch(self) -> None:
-        """Trim past ``max_values``; call once a batch is done with its codes
-        (a trim renumbers them)."""
-        if self.max_values is None:
-            return
-        if len(self.values) > self.max_values:
-            keep = np.flatnonzero(self._hit_buf[: len(self.values)])
-            self._trim(keep[: self.max_values])
-        if self.metric_prefix is not None:
-            telemetry.gauge(
-                f"{self.metric_prefix}.scan_cache_values", len(self.values)
-            )
-
-    def _trim(self, keep: np.ndarray) -> None:
-        kept = len(keep)
-        values = [self.values[i] for i in keep.tolist()]
-        index = _Interner(values)
-        index.update(zip(values, range(kept)))
-        self.values = values
-        self.value_index = index
-        # fancy indexing copies the kept rows first, so compaction in place
-        # is safe; the buffers keep their (clamped) capacity
-        self._counts_buf[:, :kept] = self._counts_buf[:, keep]
-        self._parsed_buf[:kept] = self._parsed_buf[keep]
-        self._hit_buf[:] = False
-        self.counts = self._counts_buf[:, :kept]
-        self.parsed = self._parsed_buf[:kept]
-        self.probe_cache = {
-            value: probes
-            for value, probes in self.probe_cache.items()
-            if value in index
-        }
-        if self.metric_prefix is not None:
-            telemetry.count(f"{self.metric_prefix}.scan_cache_reset")
-            telemetry.count(f"{self.metric_prefix}.scan_cache_kept", kept)
-
-
 class ColumnTally(NamedTuple):
-    """Frequency-weighted summary of a batch of encoded columns.
+    """Frequency-weighted summary of a batch of columns.
 
-    ``code`` holds the value code of every distinct (column, value) pair;
-    per column, ``n_distinct`` counts its distinct values, ``sums`` and
+    Per column, ``n_distinct`` counts its distinct values, ``sums`` and
     ``sumsq`` (each of shape (5, n_columns)) are the exact sums and sums of
     squares of the five shape counts, and ``moments`` its exact numeric
     moments.
     """
 
-    code: np.ndarray
     n_distinct: np.ndarray
     sums: np.ndarray
     sumsq: np.ndarray
     moments: list[ExactMoments]
 
 
-def tally_columns(
-    cells: Iterable[str], n_present: np.ndarray, cache: StatsScanCache
-) -> ColumnTally:
-    """Intern, scan and tally the present cells of a batch of columns.
+def tally_columns(counters: list[Counter]) -> ColumnTally:
+    """Scan and tally a batch of columns, each given as the counts of its
+    present values.
 
     This is the accumulate step of both stats engines:
     :func:`compute_stats_batch` tallies a batch of whole columns, and
     :class:`repro.sketch.StreamingProfiler` tallies the columns of one
     chunk together and adds each column's result to its sketch.
 
-    ``cells`` yields every present cell, column after column, with
-    ``n_present[i]`` cells for column ``i``.  Each cell is interned into
-    ``cache`` (one C-speed pass; only novel values drop into Python), the
-    novel values are scanned once, and the codes are marked as hits.  One
-    ``np.unique`` over (column, code) keys gives every column's distinct
-    values with their frequencies.  One ``np.bincount`` per sum folds the
+    ``counters[i]`` maps each present value of column ``i`` to its
+    frequency.  Every column's values are scanned once, in one
+    :func:`_scan_distinct` call over all of them; a value in two columns
+    is scanned for each.  One ``np.bincount`` per sum folds the
     frequency-weighted shape counts into per-column totals; every term is
     an exact integer in float64 (counts are small integers, column totals
     far below 2**53), so the sums are exact in any order.  The numeric
-    distinct values go into each column's :class:`ExactMoments`, weighted
-    by their frequencies, which is exact too.  A column tallied whole and
-    one tallied chunk by chunk therefore agree bit for bit.
-
-    The returned codes index ``cache``'s scan rows; call
-    :meth:`StatsScanCache.end_batch` once done with them (a trim
-    renumbers them).
+    values go into each column's :class:`ExactMoments`, weighted by their
+    frequencies, in one :func:`~repro.core.moments.grouped_moments` pass,
+    which is exact too.  A column tallied whole and one tallied chunk by
+    chunk therefore agree bit for bit.
     """
-    n_cols = len(n_present)
-    codes = np.fromiter(
-        map(cache.value_index.__getitem__, cells),
-        count=int(n_present.sum()), dtype=np.intp,
+    n_cols = len(counters)
+    n_distinct = np.fromiter(map(len, counters), count=n_cols, dtype=np.intp)
+    n_values = int(n_distinct.sum())
+    freq = np.fromiter(
+        chain.from_iterable(map(dict.values, counters)),
+        count=n_values, dtype=np.int64,
     )
-    cache.scan_novel()
-    stride = int(codes.max()) + 1 if codes.size else 1
-    keys = np.repeat(np.arange(n_cols, dtype=np.intp) * stride, n_present)
-    keys += codes
-    del codes  # folded into keys: free it before np.unique copies them
-    keys, freq = np.unique(keys, return_counts=True)
-    column, code = np.divmod(keys, stride)
-    cache.mark_hits(code)
-    # before the shape sums, whose row-sized temporaries live until return
-    moments = _numeric_moments(column, code, freq, cache.parsed, n_cols)
+    counts = np.empty((5, n_values))
+    parsed = np.empty(n_values)
+    _scan_distinct(list(chain.from_iterable(counters)), counts, parsed)
+    column = np.repeat(np.arange(n_cols), n_distinct)
+    numeric = np.flatnonzero(~np.isnan(parsed))
+    # before the shape sums, whose value-sized temporaries live until return
+    moments = grouped_moments(
+        column[numeric], parsed[numeric], freq[numeric], n_cols
+    )
     weights = freq.astype(float)
     sums = np.empty((5, n_cols))
     sumsq = np.empty((5, n_cols))
     for j in range(5):
-        row = cache.counts[j, code]
+        row = counts[j]
         weighted = row * weights
         sums[j] = np.bincount(column, weights=weighted, minlength=n_cols)
         weighted *= row
         sumsq[j] = np.bincount(column, weights=weighted, minlength=n_cols)
-    n_distinct = np.bincount(column, minlength=n_cols)
-    return ColumnTally(code, n_distinct, sums, sumsq, moments)
-
-
-def _numeric_moments(
-    column: np.ndarray, code: np.ndarray, freq: np.ndarray,
-    parsed: np.ndarray, n_cols: int,
-) -> list[ExactMoments]:
-    """Each column's exact moments over its numeric distinct values,
-    weighted by their frequencies (tally entries are sorted by column)."""
-    numeric = np.flatnonzero(~np.isnan(parsed[code]))
-    column_starts = np.searchsorted(column, np.arange(n_cols + 1))
-    bounds = np.searchsorted(numeric, column_starts).tolist()
-    values, weights = parsed[code[numeric]], freq[numeric]
-    moments = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        accumulator = ExactMoments()
-        accumulator.add_many(values[lo:hi], weights[lo:hi])
-        moments.append(accumulator)
-    return moments
+    return ColumnTally(n_distinct, sums, sumsq, moments)
 
 
 def finalize_stats(
@@ -737,39 +567,39 @@ def finalize_stats(
 def compute_stats_batch(
     columns: list[Column],
     samples_list: list[list[str] | None] | None = None,
-    scan_cache: StatsScanCache | None = None,
+    probe_cache: dict[str, tuple[bool, bool, bool, bool, bool]] | None = None,
 ) -> list[DescriptiveStats]:
     """Compute the 25 descriptive statistics for a batch of raw columns.
 
-    The batched kernel shares one vectorized scan across every column: cell
-    values are interned into one distinct table (values repeated across
-    columns — category levels, small integers — are scanned once) and
-    encoded as one array of codes, the distinct values go through the
-    sliced LUT/segment kernel in :func:`_scan_distinct`, and
-    :func:`tally_columns` recovers every column's distinct count, shape
-    count sums and exact numeric moments from its frequency-weighted
-    distinct values.  :func:`finalize_stats` turns each column's tally into
-    its stats.  Sample probes are memoized.  With a ``scan_cache``,
-    interning and scan results persist across calls so a whole corpus pays
-    each distinct value once.
+    Each column's present values are counted in one ``Counter``, and
+    :func:`tally_columns` scans every column's distinct values in one
+    sliced LUT/segment kernel call (:func:`_scan_distinct`) and recovers
+    every column's distinct count, shape count sums and exact numeric
+    moments from its frequency-weighted distinct values.
+    :func:`finalize_stats` turns each column's tally into its stats.
+    Sample probes are memoized in ``probe_cache``; pass one dict through
+    successive calls to share it (a fresh one serves a single call).
 
-    Memory beyond the columns themselves is the interner, the scan rows of
-    the distinct values, one scan slice, and a few machine words per
-    present cell (its code and its tally key); nothing scales with the
-    number of characters.  The result is the one a
-    :class:`~repro.sketch.ColumnSketch` fed the same cells in any chunking
-    finalizes to.
+    Memory beyond the columns themselves is one counter entry, one scan row
+    and a few machine words per distinct value of each column, plus one
+    scan slice; nothing scales with the number of characters.  The result
+    is the one a :class:`~repro.sketch.ColumnSketch` fed the same cells in
+    any chunking finalizes to.
     """
     if samples_list is None:
         samples_list = [None] * len(columns)
     if len(samples_list) != len(columns):
         raise ValueError("samples_list must align with columns")
+    if probe_cache is None:
+        probe_cache = {}
 
-    cache = scan_cache if scan_cache is not None else StatsScanCache()
     n_cols = len(columns)
+    # a present cell is never empty ("" reads as missing), so None marks
+    # exactly the missing ones
+    counters = [Counter(column.cells) for column in columns]
     totals = np.fromiter(map(len, columns), count=n_cols, dtype=np.intp)
     n_present = totals - np.fromiter(
-        (column.cells.count(None) for column in columns),
+        (counter.pop(None, 0) for counter in counters),
         count=n_cols, dtype=np.intp,
     )
     if telemetry.enabled:
@@ -779,12 +609,7 @@ def compute_stats_batch(
         if n_empty:
             telemetry.count("stats.empty_columns", n_empty)
 
-    # a present cell is never empty ("" reads as missing), so filter(None)
-    # drops exactly the missing ones
-    tally = tally_columns(
-        chain.from_iterable(filter(None, column.cells) for column in columns),
-        n_present, cache,
-    )
+    tally = tally_columns(counters)
     distincts = tally.n_distinct.tolist()
     sums, sumsq = tally.sums.T.tolist(), tally.sumsq.T.tolist()
 
@@ -794,9 +619,8 @@ def compute_stats_batch(
             samples = column.head_distinct(5)
         out.append(finalize_stats(
             int(totals[i]), int(n_present[i]), distincts[i], sums[i],
-            sumsq[i], tally.moments[i], samples, cache.probe_cache,
+            sumsq[i], tally.moments[i], samples, probe_cache,
         ))
-    cache.end_batch()
     return out
 
 

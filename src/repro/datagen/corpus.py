@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.featurize import LabeledDataset, profile_columns
-from repro.core.stats import StatsScanCache
 from repro.datagen.values import generate_column
 from repro.tabular.column import Column
 from repro.tabular.table import Table
@@ -92,7 +91,7 @@ def generate_corpus(
     labels = sample_class_sequence(n_examples, rng)
 
     corpus = LabeledCorpus()
-    scan_cache = StatsScanCache()  # dedup value scans across the whole corpus
+    probe_cache: dict = {}  # sample probes, memoized across the corpus
     cursor = 0
     file_index = 0
     while cursor < len(labels):
@@ -117,7 +116,7 @@ def generate_corpus(
             source_file=file_name,
             labels=list(labels[cursor : cursor + n_cols]),
             rng=rng,
-            scan_cache=scan_cache,
+            probe_cache=probe_cache,
         )
         corpus.dataset.profiles.extend(file_profiles)
         cursor += n_cols

@@ -35,7 +35,7 @@ from repro.obs import (
 from repro.obs.export import write_json, write_spans_jsonl
 from repro.serve.http import make_server
 from repro.serve.registry import ModelRegistry, TrainConfig
-from repro.serve.service import SCAN_CACHE_MAX_VALUES, InferenceService
+from repro.serve.service import InferenceService
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,15 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     batching.add_argument(
         "--deadline-ms", type=float, default=30000.0, metavar="MS",
         help="default per-request deadline (clients override per call)",
-    )
-    batching.add_argument(
-        "--scan-cache-max-values", type=int, default=SCAN_CACHE_MAX_VALUES,
-        metavar="N",
-        help="maximum distinct cell values resident in the cross-request "
-             "stats scan cache (and per streamed upload); past it the cache "
-             "keeps only the values that were looked up again since its "
-             "last trim. Lower bounds resident memory tighter at the cost "
-             "of re-scanning repeated values",
     )
     add_fault_flags(parser)
     add_observability_flags(parser)
@@ -162,7 +153,6 @@ def main(argv: list[str] | None = None) -> int:
         max_wait_s=args.max_wait_ms / 1000.0,
         queue_limit=args.queue_limit,
         default_deadline_s=args.deadline_ms / 1000.0,
-        scan_cache_max_values=args.scan_cache_max_values,
     )
     try:
         server = make_server(args.host, args.port, service)

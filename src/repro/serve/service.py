@@ -3,9 +3,8 @@
 :class:`InferenceService` is the transport-independent core of
 ``repro-serve``: the HTTP layer (``serve/http.py``) and the in-process tests
 both drive it through :meth:`infer`, which profiles an upload's CSV chunks
-on the calling thread through :class:`~repro.sketch.StreamingProfiler`
-(against one :class:`~repro.core.stats.StatsScanCache` shared by every
-request, so repeated values are scanned once) and submits the profiles.
+on the calling thread through its own
+:class:`~repro.sketch.StreamingProfiler` and submits the profiles.
 The batch runner flattens every profile of every request in a batch
 through one ``predict_proba`` call per model, then splits the predictions
 back per request.
@@ -23,20 +22,13 @@ import contextlib
 import time
 
 from repro.core.pipeline import ColumnPrediction, TypeInferencePipeline
-from repro.core.stats import StatsScanCache, char_luts
+from repro.core.stats import char_luts
 from repro.obs import span_context, telemetry, use_context
 from repro.serve.batching import InferenceRequest, MicroBatcher, QueueFullError
 from repro.serve.registry import ModelRegistry, UnknownModelError
 from repro.sketch import StreamingProfiler
 from repro.tabular.column import Column
 from repro.tools.rules import RuleBaselineTool
-
-#: Default maximum distinct cell values resident in the cross-request scan
-#: cache — bounds resident memory on long-lived servers.  Past it the cache
-#: keeps only the values that hit since its last trim (see
-#: :class:`~repro.core.stats.StatsScanCache`).  Tunable per service via
-#: ``scan_cache_max_values`` (``repro-serve --scan-cache-max-values``).
-SCAN_CACHE_MAX_VALUES = 100_000
 
 #: Confidence reported for degraded (rule-based) predictions: exactly the
 #: paper's review threshold, so they are not silently trusted as
@@ -54,11 +46,9 @@ class InferenceService:
         max_wait_s: float = 0.01,
         queue_limit: int = 64,
         default_deadline_s: float = 30.0,
-        scan_cache_max_values: int = SCAN_CACHE_MAX_VALUES,
     ):
         self.registry = registry
         self.default_deadline_s = default_deadline_s
-        self.scan_cache_max_values = max(0, int(scan_cache_max_values))
         self.batcher = MicroBatcher(
             self._run_batch,
             max_batch_columns=max_batch_columns,
@@ -66,11 +56,6 @@ class InferenceService:
             queue_limit=queue_limit,
         )
         self._fallback = RuleBaselineTool()
-        # One scan cache for every handler's profiler, so repeated values
-        # are scanned once across requests.
-        self._scan_cache = StatsScanCache(
-            max_values=self.scan_cache_max_values, metric_prefix="serve"
-        )
         self.started_at = time.time()
         self.draining = False
 
@@ -100,10 +85,10 @@ class InferenceService:
         ``chunks`` is an iterable of :class:`~repro.tabular.csv_io.CSVChunk`
         (what :func:`~repro.tabular.csv_io.iter_csv_chunks` yields); they
         stream through one :class:`~repro.sketch.StreamingProfiler` on the
-        calling thread, against the service's shared scan cache, so only
-        the finished profiles and the first chunk's raw rows (for the
-        degraded answer) reach the batcher.  Unreadable or unfeaturizable
-        input raises :class:`~repro.tabular.csv_io.CSVReadError` /
+        calling thread, so only the finished profiles and the first chunk's
+        raw rows (for the degraded answer) reach the batcher.  Unreadable
+        or unfeaturizable input raises
+        :class:`~repro.tabular.csv_io.CSVReadError` /
         :class:`~repro.core.featurize.ProfileError` (HTTP 400).
 
         ``model_name`` routes the request to one registry entry (None → the
@@ -125,9 +110,7 @@ class InferenceService:
             "serve.request", table=table_name, model=model_name or "",
         ) as span:
             started = time.perf_counter()
-            profiler = StreamingProfiler(
-                source_file=table_name, scan_cache=self._scan_cache
-            )
+            profiler = StreamingProfiler(source_file=table_name)
             head = None
             with telemetry.span("serve.profile", table=table_name) as profile:
                 for chunk in chunks:
@@ -273,7 +256,6 @@ class InferenceService:
             "queue_limit": self.batcher.queue_limit,
             "max_batch_columns": self.batcher.max_batch_columns,
             "max_wait_ms": round(1000.0 * self.batcher.max_wait_s, 3),
-            "scan_cache_max_values": self.scan_cache_max_values,
             "model": default.describe(),
             "default_model": self.registry.default_name,
             "models": self.registry.describe_all(),

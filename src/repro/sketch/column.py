@@ -22,25 +22,21 @@ the ``distinct_overflowed`` flag.  Spilling is a sticky state, so merge
 stays order-independent.
 
 Bounded state: the distinct-value dict is capped, sample candidates are
-capped at ``sample_k``, and the moment accumulators are O(1).  The
-per-chunk scan reuses the class-byte scan kernel through a shared
-:class:`~repro.core.stats.StatsScanCache`, which trims itself past its
-``max_values`` in :meth:`~repro.core.stats.StatsScanCache.end_batch` at
-the end of every tally.
+capped at ``sample_k``, and the moment accumulators are O(1).  Each chunk
+is counted into one ``Counter`` of its present values, which the tally
+scans and then drops.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-
-import numpy as np
 
 from repro.core.moments import ExactMoments
 from repro.core.stats import (
     ColumnTally,
     DescriptiveStats,
-    StatsScanCache,
     finalize_stats,
     tally_columns,
 )
@@ -54,6 +50,9 @@ DEFAULT_DISTINCT_CAP = 65_536
 
 #: The paper samples five distinct values per column (Section 2.3).
 N_SAMPLE_VALUES = 5
+
+#: Cell types :meth:`ColumnSketch.admit` counts without normalizing.
+_RAW_TYPES = {str, type(None)}
 
 
 @dataclass(frozen=True)
@@ -100,21 +99,12 @@ class ColumnSketch:
         self._head_open = self.config.sample_k > 0
 
     # -- accumulation --------------------------------------------------------
-    def update(
-        self,
-        cells,
-        scan_cache: StatsScanCache | None = None,
-        cell_offset: int | None = None,
-    ) -> None:
+    def update(self, cells, cell_offset: int | None = None) -> None:
         """Fold a chunk of raw cells (strings or ``None``) into the sketch.
 
         Cells are normalized exactly like :class:`~repro.tabular.column.Column`
         (``str()`` then missing-token detection), so feeding raw CSV rows and
         feeding ``Column.cells`` produce identical sketches.
-
-        ``scan_cache`` should be shared across chunks/columns so repeated
-        values are scanned once (its ``max_values`` bounds it); without
-        one, a throwaway cache serves the single chunk.
 
         ``cell_offset`` is the global index of ``cells[0]`` within the full
         column; it defaults to sequential growth (``self.n_total``).  Shard
@@ -125,41 +115,41 @@ class ColumnSketch:
         chunk together; this is the same two steps for one column.
         """
         present = self.admit(cells, cell_offset)
-        if not present:
-            return
-        cache = scan_cache if scan_cache is not None else StatsScanCache()
-        self.add_tally(
-            tally_columns(present, np.array([len(present)]), cache), 0
-        )
-        cache.end_batch()
+        if present:
+            self.add_tally(tally_columns([present]), 0)
 
-    def admit(self, cells, cell_offset: int | None = None) -> list[str]:
+    def admit(self, cells, cell_offset: int | None = None) -> Counter:
         """Count a chunk of raw cells, track its head samples and distinct
-        values, and return its present cells for
+        values, and return the counts of its present values for
         :func:`~repro.core.stats.tally_columns`, whose result goes to
         :meth:`add_tally`.  Arguments as for :meth:`update`.
 
-        The missing test is ``is_missing`` inlined, the distinct set takes
-        one insertion per present cell, and the head samples cost nothing
-        once the head is full.  Only a chunk holding a ``None`` or a
-        non-``str`` cell is normalized first.
+        One ``Counter`` pass counts the cells; the missing test then runs
+        once per distinct value, the distinct set takes one update from the
+        counter's keys, and the head samples cost nothing once the head is
+        full.  ``None`` counts as missing.  A chunk holding any other
+        non-``str`` cell is normalized cell by cell first: ``1``, ``True``
+        and ``1.0`` are one key but three different strings.
         """
         if cell_offset is None:
             cell_offset = self.n_total
-        if set(map(type, cells)) - {str}:
-            # None reads as "", which is missing
+        present = Counter(cells)
+        if set(map(type, present)) - _RAW_TYPES:
             cells = [
                 cell if type(cell) is str else "" if cell is None else str(cell)
                 for cell in cells
             ]
-        present = [
-            cell for cell in cells
-            if cell.strip().lower() not in MISSING_TOKENS
+            present = Counter(cells)
+        n_missing = present.pop(None, 0)
+        missing = [
+            value for value in present
+            if value.strip().lower() in MISSING_TOKENS
         ]
+        n_missing += sum(map(present.pop, missing))
         if self._head_open:
             self._admit_head(present, cells, cell_offset)
         self.n_total += len(cells)
-        self.n_present += len(present)
+        self.n_present += len(cells) - n_missing
         self.n_chunks += 1
 
         if not self.distinct_overflowed:
@@ -171,14 +161,14 @@ class ColumnSketch:
             telemetry.count("sketch.cells", len(cells))
         return present
 
-    def _admit_head(self, present: list[str], cells, cell_offset: int) -> None:
-        """Add the chunk's first-seen distinct values to the open head.
+    def _admit_head(self, present: Counter, cells, cell_offset: int) -> None:
+        """Add the chunk's first-seen present values to the open head.
 
         At most ``sample_k - 1`` values are already in the head, so the
         loop visits at most ``2 * sample_k`` values however long the chunk.
         """
         head = self._head
-        for value in dict.fromkeys(present):
+        for value in present:
             if value not in head:
                 head[value] = cell_offset + cells.index(value)
                 if len(head) >= self.config.sample_k:

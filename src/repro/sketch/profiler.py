@@ -4,8 +4,8 @@
 objects (from :func:`~repro.tabular.csv_io.iter_csv_chunks`) and produces
 the same ``list[ColumnProfile]`` that ``profile_table`` computes from a
 materialized :class:`~repro.tabular.table.Table` — under a memory
-footprint bounded by the chunk size, the distinct cap, and the scan-cache
-cap, independent of the number of rows.
+footprint bounded by the chunk size and the distinct cap, independent of
+the number of rows.
 
 :func:`profile_csv_stream` is the one-call convenience wrapper behind
 ``repro-infer``, exact by default and capped with ``--stream``.
@@ -14,12 +14,10 @@ cap, independent of the number of rows.
 from __future__ import annotations
 
 import os
-from itertools import chain
-
-import numpy as np
+from collections import Counter
 
 from repro.core.featurize import _KERNEL_ERRORS, ColumnProfile, ProfileError
-from repro.core.stats import StatsScanCache, tally_columns
+from repro.core.stats import tally_columns
 from repro.obs import telemetry
 from repro.sketch.column import ColumnSketch, SketchConfig
 from repro.tabular.csv_io import (
@@ -28,29 +26,23 @@ from repro.tabular.csv_io import (
     iter_csv_chunks,
 )
 
-#: Rows gathered per CSV chunk, and present cells per tally group of
+#: Rows gathered per CSV chunk, and distinct values per tally group of
 #: :meth:`StreamingProfiler.consume`: large enough to amortize the
 #: vectorized scan, small enough that a chunk of wide text rows stays a few
-#: MB and a tally's row-sized temporaries stay those of one column chunk.
+#: MB and a tally's value-sized temporaries stay those of one column chunk.
 DEFAULT_CHUNK_ROWS = 16_384
-
-#: Maximum distinct cell values resident in the shared scan cache (see
-#: :class:`~repro.core.stats.StatsScanCache` for the trim policy) — bounds
-#: the interning table on high-cardinality streams.
-DEFAULT_SCAN_CACHE_MAX_VALUES = 200_000
 
 
 class StreamingProfiler:
     """Accumulate column sketches chunk by chunk; finalize to profiles.
 
-    Each chunk's columns are tallied together, in groups of at most
-    :data:`DEFAULT_CHUNK_ROWS` present cells (a column with more is a
-    group of its own), through the batch kernel's own accumulate step
-    :func:`~repro.core.stats.tally_columns` against one
-    :class:`~repro.core.stats.StatsScanCache`.  The profiler owns that
-    cache (trimmed past ``scan_cache_max_values`` interned values) unless
-    ``scan_cache`` hands it a shared one, whose ``lock`` it holds per
-    :meth:`consume` and per :meth:`profiles` call.
+    Each chunk's columns are counted by :meth:`ColumnSketch.admit` and
+    tallied together, in groups of at most :data:`DEFAULT_CHUNK_ROWS`
+    distinct values (a column with more is a group of its own), through
+    the batch kernel's own accumulate step
+    :func:`~repro.core.stats.tally_columns`.  The profiler memoizes the
+    sample probes of :meth:`profiles` for its own lifetime: one request in
+    ``repro-serve``, one file in ``repro-infer``.
     The profiler also keeps the global row counter that keeps "head"
     sample order exact across chunks.  ``row_offset`` seeds that counter
     for shard profilers whose :meth:`merge` results must behave as if one
@@ -61,15 +53,11 @@ class StreamingProfiler:
         self,
         source_file: str = "",
         config: SketchConfig | None = None,
-        scan_cache_max_values: int = DEFAULT_SCAN_CACHE_MAX_VALUES,
         row_offset: int = 0,
-        scan_cache: StatsScanCache | None = None,
     ):
         self.source_file = source_file
         self.config = config if config is not None else SketchConfig()
-        self._cache = scan_cache if scan_cache is not None else StatsScanCache(
-            max_values=scan_cache_max_values, metric_prefix="sketch"
-        )
+        self._probe_cache: dict[str, tuple[bool, bool, bool, bool, bool]] = {}
         self._sketches: list[ColumnSketch] | None = None
         self._names: list[str] | None = None
         self._rows_seen = 0
@@ -105,37 +93,29 @@ class StreamingProfiler:
             source=self.source_file,
             index=self._n_chunks,
             n_rows=len(rows),
-        ), self._cache.lock:
-            group: list[tuple[ColumnSketch, list[str]]] = []
-            n_cells = 0
+        ):
+            group: list[tuple[ColumnSketch, Counter]] = []
+            n_values = 0
             for sketch, cells in zip(self._sketches, zip(*rows)):
                 present = sketch.admit(cells, cell_offset=offset)
-                if group and n_cells + len(present) > DEFAULT_CHUNK_ROWS:
+                if group and n_values + len(present) > DEFAULT_CHUNK_ROWS:
                     self._tally(group)
-                    group, n_cells = [], 0
+                    group, n_values = [], 0
                 group.append((sketch, present))
-                n_cells += len(present)
+                n_values += len(present)
             self._tally(group)
         self._rows_seen += len(rows)
         self._n_chunks += 1
         telemetry.count("sketch.chunks")
         telemetry.count("sketch.rows", len(rows))
 
-    def _tally(self, group: list[tuple[ColumnSketch, list[str]]]) -> None:
+    def _tally(self, group: list[tuple[ColumnSketch, Counter]]) -> None:
         """Tally one group of columns together and add each column's share
         to its sketch."""
-        n_present = np.fromiter(
-            (len(present) for _, present in group), count=len(group),
-            dtype=np.intp,
-        )
-        if not n_present.any():
+        if not any(present for _, present in group):
             return
         try:
-            tally = tally_columns(
-                chain.from_iterable(present for _, present in group),
-                n_present, self._cache,
-            )
-            self._cache.end_batch()
+            tally = tally_columns([present for _, present in group])
         except _KERNEL_ERRORS as exc:
             names = [sketch.name for sketch, _ in group]
             raise self._error(names, exc) from exc
@@ -183,12 +163,10 @@ class StreamingProfiler:
             source=self.source_file,
             n_columns=len(self._sketches),
             n_rows=self._rows_seen,
-        ), self._cache.lock:
+        ):
             for sketch in self._sketches:
                 try:
-                    stats = sketch.finalize(
-                        probe_cache=self._cache.probe_cache
-                    )
+                    stats = sketch.finalize(probe_cache=self._probe_cache)
                 except _KERNEL_ERRORS as exc:
                     raise self._error([sketch.name], exc) from exc
                 out.append(
@@ -210,7 +188,6 @@ def profile_csv_stream(
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     io_chunk_bytes: int | None = None,
     delimiter: str | None = None,
-    scan_cache_max_values: int = DEFAULT_SCAN_CACHE_MAX_VALUES,
     sniff_chars: int = DEFAULT_SNIFF_CHARS,
 ) -> list[ColumnProfile]:
     """Profile a CSV source (path, binary file, or bytes iterable) in one
@@ -218,19 +195,15 @@ def profile_csv_stream(
     input and :class:`~repro.core.featurize.ProfileError` on unfeaturizable
     content.
 
-    Memory is bounded by the chunk size, the sniff prefix, the scan-cache
-    cap and ``config.distinct_cap`` distinct values per column.  With an unbounded
+    Memory is bounded by the chunk size, the sniff prefix and
+    ``config.distinct_cap`` distinct values per column.  With an unbounded
     cap and ``sniff_chars`` (``repro-infer``'s default path) the profiles
     equal ``profile_table(load_csv_table(path))`` bit for bit; a column
     past a finite cap reports the cap as its ``num_distinct``.
     """
     if not name and isinstance(source, (str, os.PathLike)):
         name = os.path.splitext(os.path.basename(os.fspath(source)))[0]
-    profiler = StreamingProfiler(
-        source_file=name,
-        config=config,
-        scan_cache_max_values=scan_cache_max_values,
-    )
+    profiler = StreamingProfiler(source_file=name, config=config)
     kwargs = {
         "chunk_rows": chunk_rows,
         "delimiter": delimiter,

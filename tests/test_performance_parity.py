@@ -35,7 +35,6 @@ from repro.core.stats import (
     STAT_NAMES,
     STOPWORDS,
     DescriptiveStats,
-    StatsScanCache,
     _delimiter_count,
     _finite,
     _scan_distinct,
@@ -171,15 +170,13 @@ class TestVectorizedStatsParity:
 
     def test_downstream_suite_tables(self):
         # Categorical-heavy tables (~0.3 distinct values per cell), batched
-        # a table at a time through one shared scan cache, as the
-        # downstream experiments profile them.
+        # a table at a time, as the downstream experiments profile them.
         from repro.datagen.downstream import make_suite
 
-        cache = StatsScanCache()
         n_columns = 0
         for dataset in make_suite(seed=0):
             columns = list(dataset.table)
-            batch = compute_stats_batch(columns, scan_cache=cache)
+            batch = compute_stats_batch(columns)
             for column, stats in zip(columns, batch):
                 np.testing.assert_allclose(
                     stats.values, reference_compute_stats(column).values,
@@ -233,60 +230,6 @@ class TestVectorizedStatsParity:
                 stats, reference_compute_stats(column), column.name
             )
             assert (compute_stats(column).values == stats.values).all()
-
-    def test_scan_cache_across_batches_is_equivalent(self):
-        corpus = generate_corpus(n_examples=100, seed=5)
-        columns = [c for table in corpus.files for c in table]
-        whole = compute_stats_batch(columns)
-        cache = StatsScanCache()
-        chunked = []
-        for table in corpus.files:
-            chunked.extend(compute_stats_batch(list(table), scan_cache=cache))
-        for a, b in zip(whole, chunked):
-            assert (a.values == b.values).all()
-
-    def test_capped_scan_cache_trims_but_changes_nothing(self):
-        corpus = generate_corpus(n_examples=100, seed=5)
-        roomy, capped = StatsScanCache(), StatsScanCache(max_values=300)
-        batch_values = []
-        for table in corpus.files:
-            columns = list(table)
-            want = compute_stats_batch(columns, scan_cache=roomy)
-            got = compute_stats_batch(columns, scan_cache=capped)
-            for a, b in zip(want, got):
-                assert (a.values == b.values).all()
-            batch_values.append(
-                len({c for col in columns for c in col.cells if c is not None})
-            )
-            # Capacity is clamped: cap + the largest batch at most.
-            assert capped.capacity <= 300 + max(batch_values)
-            assert len(capped.values) <= 300
-        assert len(roomy.values) > 300  # the cap really was exceeded
-
-    def test_trim_keeps_exactly_the_values_that_hit(self):
-        cache = StatsScanCache(max_values=4)
-
-        def run(*cells):
-            return compute_stats_batch(
-                [Column("c", list(cells))], scan_cache=cache
-            )
-
-        run("a", "b", "c")
-        run("a", "1 x")  # "a" hits; 4 values, still within the cap
-        assert cache.values == ["a", "b", "c", "1 x"]
-        rows = {
-            value: cache.counts[:, i].copy()
-            for i, value in enumerate(cache.values)
-        }
-        run("c", "d")  # "c" hits; 5 values > 4: keep the hits "a", "c"
-        assert cache.values == ["a", "c"]
-        assert dict(cache.value_index) == {"a": 0, "c": 1}
-        for i, value in enumerate(cache.values):
-            np.testing.assert_array_equal(cache.counts[:, i], rows[value])
-        assert set(cache.probe_cache) <= {"a", "c"}
-        # Hits reset at each trim: only "c" hits before the next overflow.
-        run("c", "e", "f", "g")
-        assert cache.values == ["c"]
 
 
 #: Scan inputs where slicing could go wrong: stop words on either side of
@@ -423,13 +366,13 @@ class TestBoundedScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # Per distinct value: its interner entry and int code (~100 B),
-        # its scan row (6 floats, 48 B) and a few machine words per cell
-        # for the codes and tally keys (~80 B); 256 B
-        # leaves headroom.  Plus one scan slice, whose arrays take ~18 B
-        # per character (64 B allowed).  This measures 37 MB against the
-        # 68 MB bound; a scan over all characters at once adds
-        # ~18 B x 5.6M = ~100 MB and fails it.
+        # Per distinct value: its counter entry (~40 B), its scan row
+        # (6 floats, 48 B), its frequency, column index and weights and
+        # the tally's temporaries (~60 B); 256 B leaves headroom.  Plus
+        # one scan slice, whose arrays take ~18 B per character (64 B
+        # allowed).  This measures 28 MB against the 68 MB bound; a scan
+        # over all characters at once adds ~18 B x 5.6M = ~100 MB and
+        # fails it.
         bound = n * 256 + 64 * stats.SCAN_SLICE_CHARS
         assert chars > 10 * stats.SCAN_SLICE_CHARS
         assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"

@@ -1240,67 +1240,3 @@ class TestInferCliServerUpload:
         with running_server(registry, max_wait_s=0.0) as (client, _):
             assert main([str(tmp_path), "--server", client.base_url]) == 2
 
-
-class TestScanCacheKnob:
-    """The stats-scan recycle threshold is a serve-time knob."""
-
-    def test_cli_flag_parses(self):
-        from repro.serve.cli import build_parser
-
-        args = build_parser().parse_args(["--scan-cache-max-values", "123"])
-        assert args.scan_cache_max_values == 123
-        # Keeping hit values at 100k resident values hits more often than
-        # dropping everything at 200k (docs/performance.md).
-        assert build_parser().parse_args([]).scan_cache_max_values == 100_000
-
-    def test_health_reports_threshold(self, served_model):
-        registry = ModelRegistry.preloaded(served_model)
-        with running_server(
-            registry, max_wait_s=0.0, scan_cache_max_values=500
-        ) as (client, service):
-            assert service.scan_cache_max_values == 500
-            assert client.healthz()["scan_cache_max_values"] == 500
-
-    def test_tiny_threshold_recycles_but_answers_identically(
-        self, served_model, tmp_path
-    ):
-        path = tmp_path / "sample.csv"
-        path.write_text(CSV_TEXT)
-        registry = ModelRegistry.preloaded(served_model)
-        with running_server(registry, max_wait_s=0.0) as (client, _):
-            reference = client.infer_csv_text(CSV_TEXT, table="sample")
-        telemetry.reset()
-        with running_server(
-            registry, max_wait_s=0.0, scan_cache_max_values=5
-        ) as (client, _):
-            tight = client.infer_csv_file(path, table="sample")
-            resets = telemetry.metrics.counter("serve.scan_cache_reset").value
-        assert resets >= 1
-        assert tight["predictions"] == reference["predictions"]
-
-        # Buffered requests across trims.  A (CSV_TEXT) and B share only
-        # their four state values.  With a 100-value cap, every B request
-        # overflows the cache (84 + 80 values), and the trim keeps exactly
-        # A's 84 values, which hit since the last trim; the answers never
-        # change.
-        other = "id,salary,state\n" + "\n".join(
-            f"{i},{1000 + 13 * i},{['CA', 'TX', 'NY', 'WA'][i % 4]}"
-            for i in range(40, 80)
-        )
-        stream = [CSV_TEXT, CSV_TEXT, other, CSV_TEXT, other]
-        telemetry.reset()
-        with running_server(registry, max_wait_s=0.0) as (client, _):
-            roomy = [client.infer_csv_text(text) for text in stream]
-        telemetry.reset()
-        with running_server(
-            registry, max_wait_s=0.0, scan_cache_max_values=100
-        ) as (client, _):
-            trimmed = [client.infer_csv_text(text) for text in stream]
-            snapshot = client.metrics()
-        for got, want in zip(trimmed, roomy):
-            assert json.dumps(got["predictions"]) == json.dumps(
-                want["predictions"]
-            )
-        assert snapshot["counters"]["serve.scan_cache_reset"] == 2
-        assert snapshot["counters"]["serve.scan_cache_kept"] == 2 * 84
-        assert snapshot["gauges"]["serve.scan_cache_values"] == 84

@@ -12,16 +12,20 @@ from __future__ import annotations
 import io
 import math
 import struct
+import sys
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import moments as moments_module
+from repro.core import stats
 from repro.core.featurize import ProfileError, profile_table
-from repro.core.stats import StatsScanCache, compute_stats_batch
+from repro.core.moments import grouped_moments
+from repro.core.stats import compute_stats_batch, tally_columns
 from repro.obs import telemetry
 from repro.sketch import (
     ColumnSketch,
@@ -30,8 +34,9 @@ from repro.sketch import (
     StreamingProfiler,
     profile_csv_stream,
 )
+from repro.sketch import profiler as profiler_module
 from repro.tabular.column import Column
-from repro.tabular.csv_io import iter_csv_chunks, read_csv_text
+from repro.tabular.csv_io import CSVChunk, iter_csv_chunks, read_csv_text
 from repro.tabular.dtypes import MISSING_TOKENS
 
 #: Every missing token, padded and in any case (" N/A ", "\tnull").
@@ -48,6 +53,8 @@ cells_strategy = st.lists(
         st.none(),
         st.integers(-10_000, 10_000).map(str),
         st.integers(-3, 3),  # non-str cells are normalized with str()
+        # equal keys that print differently: 1 == True == 1.0
+        st.sampled_from([True, False, 1.0, -0.0]),
         st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: f"{v:.6g}"),
         st.text(alphabet="abc xyz;,.!?0123456789", max_size=20),
         st.sampled_from(["NA", "null", "", "true", "False", "yes"]),
@@ -72,6 +79,20 @@ def batch_stats(cells):
     return compute_stats_batch([Column("x", list(cells))])[0]
 
 
+def moments_of(values, weights=None):
+    """The :func:`grouped_moments` state of one group of values."""
+    if weights is None:
+        weights = [1] * len(values)
+    return grouped_moments(
+        np.zeros(len(values), dtype=np.intp), values, weights, 1
+    )[0]
+
+
+#: Weights whose products with a squared 53-bit mantissa overflow any
+#: fixed-width integer: the pass must carry them exactly.
+BOUND_WEIGHTS = [2**25 - 1, 2**25, 2**25 + 1, 2**26 - 1, 2**26, 2**32 + 5]
+
+
 class TestExactMoments:
     @given(
         values=st.lists(
@@ -84,8 +105,7 @@ class TestExactMoments:
     @example(values=[1e308, -1e308])
     @settings(max_examples=200, deadline=None)
     def test_matches_fraction_reference(self, values):
-        moments = ExactMoments()
-        moments.add_many(values)
+        moments = moments_of(values)
         exact = [Fraction(v) for v in values]
         mean_ref = sum(exact) / len(exact)
         var_ref = sum(f * f for f in exact) / len(exact) - mean_ref * mean_ref
@@ -107,12 +127,9 @@ class TestExactMoments:
 
     def test_merge_any_partition(self):
         values = [math.pi, -1e200, 1e-200, 42.0, 0.125] * 4
-        whole = ExactMoments()
-        whole.add_many(values)
+        whole = moments_of(values)
         for cut in (1, 3, 7, 19):
-            left, right = ExactMoments(), ExactMoments()
-            left.add_many(values[:cut])
-            right.add_many(values[cut:])
+            left, right = moments_of(values[:cut]), moments_of(values[cut:])
             assert left.merge(right) == whole
 
     def test_rejects_non_finite(self):
@@ -122,14 +139,11 @@ class TestExactMoments:
         with pytest.raises(ValueError):
             moments.add(math.nan)
 
-    def test_add_many_rejects_non_finite_before_changing_state(self):
-        moments = ExactMoments()
-        moments.add(2.0)
+    def test_grouped_moments_reject_non_finite(self):
         with pytest.raises(ValueError, match="nan"):
-            moments.add_many([1.0, math.nan, 3.0])
-        reference = ExactMoments()
-        reference.add(2.0)
-        assert moments == reference
+            moments_of([1.0, math.nan, 3.0])
+        with pytest.raises(ValueError, match="inf"):
+            moments_of([math.inf])
 
     @given(
         pairs=st.lists(
@@ -138,56 +152,70 @@ class TestExactMoments:
                     st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from(
                         [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
-                         1.7976931348623157e308, -1.7976931348623157e308]
+                         -1e-310, 1.7976931348623157e308,
+                         -1.7976931348623157e308]
                     ),
                 ),
-                st.integers(0, 1000),
+                st.integers(0, 1000) | st.sampled_from(BOUND_WEIGHTS),
+                st.integers(0, 3),
             ),
             max_size=40,
         ),
         start=st.none() | st.floats(allow_nan=False, allow_infinity=False),
-        weighted=st.booleans(),
-        int_slice=st.sampled_from([1, 3, 4096]),
     )
-    # A 0.0/-0.0 tie at the min or max keeps the first of the two.
-    @example(pairs=[(0.0, 1), (-0.0, 2), (5.0, 1)], start=None, weighted=True,
-             int_slice=4096)
-    @example(pairs=[(-0.0, 1), (0.0, 2), (-5.0, 1)], start=None, weighted=True,
-             int_slice=4096)
+    # A 0.0/-0.0 tie at the min or max.
+    @example(pairs=[(0.0, 1, 0), (-0.0, 2, 0), (5.0, 1, 0)], start=None)
+    @example(pairs=[(-0.0, 1, 1), (0.0, 2, 1), (-5.0, 1, 1)], start=None)
+    # Full 53-bit mantissas with large weights.
+    @example(
+        pairs=[(-1.7976931348623157e308, 2**26 - 1, 0),
+               (1.7976931348623157e308, 2**25, 0), (0.1, 2**25 + 1, 2)],
+        start=None,
+    )
     @settings(max_examples=300, deadline=None)
-    def test_add_many_equals_add_weighted_loop(
-        self, pairs, start, weighted, int_slice
-    ):
-        values = [value for value, _ in pairs]
-        weights = [weight for _, weight in pairs] if weighted else [1] * len(pairs)
-        loop, batch = ExactMoments(), ExactMoments()
-        if start is not None:
-            loop.add(start)
-            batch.add(start)
-        for value, weight in zip(values, weights):
-            loop.add_weighted(value, weight)
-        with patch.object(moments_module, "_INT_SLICE", int_slice):
-            batch.add_many(values, weights if weighted else None)
-        bits = lambda x: struct.pack("<d", x)  # tells 0.0 from -0.0
-        assert (batch.count, batch._sum, batch._sumsq) == (
-            loop.count, loop._sum, loop._sumsq
+    def test_grouped_moments_equal_add_weighted_loop(self, pairs, start):
+        """Per group, one pass leaves the state of an ``add_weighted``
+        loop over that group's pairs in order."""
+        pairs.sort(key=lambda pair: pair[2])  # stable: in order per group
+        loop = [ExactMoments() for _ in range(4)]
+        got = grouped_moments(
+            np.array([g for _, _, g in pairs], dtype=np.intp),
+            [value for value, _, _ in pairs],
+            np.array([weight for _, weight, _ in pairs], dtype=np.int64),
+            4,
         )
-        assert bits(batch.min) == bits(loop.min)
-        assert bits(batch.max) == bits(loop.max)
+        if start is not None:
+            for moments in loop:
+                moments.add(start)
+            got = [moments_of([start]).merge(moments) for moments in got]
+        for value, weight, g in pairs:
+            loop[g].add_weighted(value, weight)
+        for batch, reference in zip(got, loop):
+            assert (batch.count, batch._sum, batch._sumsq) == (
+                reference.count, reference._sum, reference._sumsq
+            )
+            # Bit for bit once -0.0 reads as 0.0, as finalize reads it.
+            assert struct.pack(
+                "<2d", batch.min + 0.0, batch.max + 0.0
+            ) == struct.pack("<2d", reference.min + 0.0, reference.max + 0.0)
 
     def test_empty_is_zero(self):
         assert ExactMoments().mean_std() == (0.0, 0.0)
 
     def test_catastrophic_cancellation_is_exact(self):
         # 1e16 + 1 - 1e16: float accumulation loses the 1; big ints don't.
-        moments = ExactMoments()
-        moments.add_many([1e16, 1.0, -1e16])
-        mean, _ = moments.mean_std()
+        mean, _ = moments_of([1e16, 1.0, -1e16]).mean_std()
         assert mean == float(Fraction(1, 3))
 
 
 class TestSketchParity:
     @given(cells=cells_strategy)
+    # A padded missing token repeated in mixed case.
+    @example(cells=[" NA", "x", "na\t", "Na", "\tNULL ", "null", "x"])
+    # None and non-str cells that normalize onto an existing str key.
+    @example(cells=["1", 1, None, "True", True, 1.0, "1.0", -0.0, "x"])
+    # An all-missing column.
+    @example(cells=[None, "NA", " null ", "", "n/a"])
     @settings(max_examples=60, deadline=None)
     def test_single_pass_matches_batch_kernel(self, cells):
         sketch = ColumnSketch("x")
@@ -236,14 +264,6 @@ class TestSketchParity:
             sketch.update(cells[start : start + 6])
         assert sketch.samples() == Column("x", cells).head_distinct(5)
 
-    def test_shared_scan_cache_changes_nothing(self):
-        cells = ["1", "2", "spam", None, "2"] * 9
-        cache = StatsScanCache()
-        shared, private = ColumnSketch("x"), ColumnSketch("x")
-        for start in range(0, len(cells), 10):
-            shared.update(cells[start : start + 10], scan_cache=cache)
-            private.update(cells[start : start + 10])
-        assert shared.finalize().values.tolist() == private.finalize().values.tolist()
 
 
 class TestBoundedState:
@@ -314,15 +334,85 @@ class TestStreamingProfiler:
             assert got.source_file == want.source_file == "t"
             assert got.stats.values.tolist() == want.stats.values.tolist()
 
-    def test_grouped_tallies_match_profile_table(self):
-        # One 7,000-row chunk: a and b share a tally group, c opens a new
-        # one (14,000 + 7,000 present cells pass the 16,384 bound), and
-        # the mostly-missing d joins c's.
+    def test_shared_values_and_missing_columns_in_one_group(self):
+        # a and b hold the same values, so one tally group scans each value
+        # once per column; c is all missing; d repeats padded missing
+        # tokens in mixed case.  The chunk is one tally group.
         text = "a,b,c,d\n" + "\n".join(
-            f"{i},{i % 97},w{i % 13},{'' if i % 3 else i * 0.5}"
-            for i in range(7000)
+            f"{i % 9},{(i + 4) % 9},NA,{[' Na', 'x', 'nULL ', '7'][i % 4]}"
+            for i in range(50)
         )
         streamed = self._streamed(text)
+        batch = self._batch(text)
+        for got, want in zip(streamed, batch):
+            assert got.samples == want.samples
+            assert_stats_match(got.stats, want.stats, context=f" ({got.name})")
+        assert streamed[2].stats["num_nans"] == 50.0
+        columns = list(read_csv_text(text, name="t"))
+        alone = [compute_stats_batch([column])[0] for column in columns]
+        for together, single in zip(compute_stats_batch(columns), alone):
+            assert_stats_match(together, single)
+
+    def test_one_chunk_of_unique_values_stays_small(self):
+        """Tripwire for the transient of a chunk whose values are all new:
+        tracemalloc's peak over consuming and finalizing one 16,384-row
+        chunk of four unique columns.
+
+        The bound, from what the pass holds at once:
+
+        * each column's distinct set, which the exact run keeps: a dict
+          key costs 24-38 B (38 B at the peak of a resize), so 40 B per
+          cell;
+        * two columns' value counters (the group being tallied and the
+          next column's), 40 B per value each: 80 B per row;
+        * one column's tally arrays (five scan counts, the parse, the
+          frequency, the column index, the weights and their numeric
+          selections, 8 B each): 100 B per row;
+        * then the larger of one scan slice (about 18 B per character,
+          20 B allowed, over at most ``SCAN_SLICE_CHARS`` characters) and
+          the exact-moments pass (93 B per numeric value measured, 100 B
+          allowed per row).
+
+        That is 16,384 x (4 x 40 + 80 + 100 + 100) B + 20 B x 2**18 = 12.4 MB,
+        about 190 B per cell.  The pass measures 9.2 MB (141 B per cell).
+        Interning every cell into a persistent scan cache, as the engine
+        once did, measured 15.7 MB here and fails the bound.
+        """
+        n_rows, header = 16_384, ["id", "email", "amount", "note"]
+        rows = [
+            [str(i), f"user{i}@example.com", f"{i * 0.37 - 2000:.4f}",
+             f"note {i} of the run"]
+            for i in range(n_rows)
+        ]
+        config = SketchConfig(distinct_cap=sys.maxsize)
+        warm = StreamingProfiler("t", config=config)  # LUTs, imports
+        warm.consume(CSVChunk(header=header, rows=rows[:10]))
+        warm.profiles()
+        profiler = StreamingProfiler("t", config=config)
+        tracemalloc.start()
+        try:
+            profiler.consume(CSVChunk(header=header, rows=rows))
+            profiler.profiles()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = n_rows * (len(header) * 40 + 80 + 100 + 100)
+        bound += 20 * stats.SCAN_SLICE_CHARS
+        assert peak < bound, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_grouped_tallies_match_profile_table(self):
+        # One 7,000-row chunk: a and b share a tally group, c opens a new
+        # one (14,000 + 3,000 distinct values pass the 16,384 bound), and
+        # the mostly-missing d joins c's.
+        text = "a,b,c,d\n" + "\n".join(
+            f"{i},k{i},w{i % 3000},{'' if i % 3 else i * 0.5}"
+            for i in range(7000)
+        )
+        with patch.object(
+            profiler_module, "tally_columns", wraps=tally_columns
+        ) as tally:
+            streamed = self._streamed(text)
+        assert [len(call.args[0]) for call in tally.call_args_list] == [2, 2]
         batch = self._batch(text)
         for got, want in zip(streamed, batch):
             assert got.samples == want.samples
@@ -332,8 +422,9 @@ class TestStreamingProfiler:
     def test_ill_conditioned_columns_match_profile_table(self, chunk_rows):
         # x: numpy's pairwise mean is 10622.770666666658, 6 ulp below the
         # exact 10622.770666666667; both engines must report the exact
-        # moments.  z: buffered, "-0" (interned from y) sorts before "0";
-        # streamed, "0" arrives first; min_value must not keep the sign.
+        # moments.  z: its min and max may come out as "-0" or "0",
+        # depending on how the column is cut; min_value must not keep the
+        # sign.
         text = "x,y,z\n353161,a,0\n995.312,-0,-0\n-322288,c,0\n"
         streamed = self._streamed(text, chunk_rows=chunk_rows)
         batch = self._batch(text)
@@ -342,22 +433,6 @@ class TestStreamingProfiler:
         assert batch[0].stats["mean_value"] == float(
             (Fraction(353161) + Fraction(995.312) - 322288) / 3
         )
-
-    def test_scan_cache_recycling_changes_nothing(self):
-        telemetry.enable()
-        telemetry.reset()
-        try:
-            tight = self._streamed(
-                CSV_TEXT, chunk_rows=16, scan_cache_max_values=10
-            )
-            resets = telemetry.metrics.counter("sketch.scan_cache_reset").value
-        finally:
-            telemetry.reset()
-            telemetry.disable()
-        assert resets > 0  # the tiny threshold actually recycled
-        roomy = self._streamed(CSV_TEXT, chunk_rows=16)
-        for got, want in zip(tight, roomy):
-            assert got.stats.values.tolist() == want.stats.values.tolist()
 
     def test_profiler_merge_matches_single(self):
         chunks = list(
